@@ -178,20 +178,27 @@ pub fn decode_checkpoint_bytes(bytes: &[u8]) -> Result<TrainingCheckpoint, Check
 }
 
 impl<M: Model> ZeroOffloadEngine<M> {
-    /// Captures the current training state.
+    /// Captures the current training state (shard-sized on a ZeRO-2/3
+    /// rank: every rank checkpoints its own shard, and restoring all
+    /// shards restores the run).
     pub fn save_checkpoint(&self) -> TrainingCheckpoint {
-        self.pipe().capture_state()
+        self.pipe.capture_state()
     }
 
-    /// Restores a checkpoint saved by an engine of the same configuration.
+    /// Restores a checkpoint saved by an engine of the same configuration
+    /// (the same rank of an identically configured group, under ZeRO-2/3).
     ///
     /// The model is reloaded with the fp16 view of the restored master
     /// parameters, so the next step continues the original trajectory
-    /// exactly (verified bitwise by the resume tests).
+    /// exactly (verified bitwise by the resume tests). Under ZeRO-2 the
+    /// reload is an all-gather, so **all ranks must restore
+    /// concurrently**, like [`ZeroOffloadEngine::step`].
     pub fn restore_checkpoint(&mut self, ckpt: &TrainingCheckpoint) -> Result<(), CheckpointError> {
-        self.pipe_mut().restore_state(ckpt)?;
-        self.sync_model_params();
-        Ok(())
+        self.pipe.restore_state(ckpt)?;
+        let pipe = &mut self.pipe;
+        self.placement
+            .load(&mut self.model, &pipe.p16, &mut pipe.stats, &pipe.tracer)
+            .map_err(CheckpointError::Fault)
     }
 
     /// Serializes the checkpoint as JSON.
@@ -219,11 +226,10 @@ impl<M: Model> ZeroOffloadEngine<M> {
         path: impl AsRef<std::path::Path>,
     ) -> Result<(), CheckpointError> {
         let bytes = encode_checkpoint_bytes(&self.save_checkpoint());
-        let tracer = self.tracer().clone();
         let gate = zo_fault::with_retry(
-            self.faults_mut(),
+            &mut self.pipe.faults,
             zo_fault::Site::CheckpointWrite,
-            &tracer,
+            &self.pipe.tracer,
             "checkpoint",
             || (),
         );

@@ -8,7 +8,8 @@ use crate::tier::TierKind;
 /// A `Copy` handle to an installed [`zo_trace::Tracer`].
 ///
 /// The engine config must stay `Copy` (it is captured by value in the
-/// per-rank closures of [`run_ranks`](crate::zero2::run_ranks)), so it
+/// per-rank closures of [`run_ranks`](crate::run_ranks) and
+/// [`run_zero3_ranks`](crate::run_zero3_ranks)), so it
 /// cannot hold a `Tracer` directly; instead it carries an index into the
 /// process-wide tracer registry.
 ///
@@ -91,7 +92,7 @@ pub enum OffloadDevice {
     Cpu,
 }
 
-/// Configuration for [`ZeroOffloadEngine`](crate::engine::ZeroOffloadEngine).
+/// Configuration for [`ZeroOffloadEngine`](crate::ZeroOffloadEngine), at every stage.
 ///
 /// Deserializable from JSON with every field optional (the DeepSpeed
 /// `ds_config.json` usability model — paper Fig. 1):
@@ -139,8 +140,8 @@ pub struct ZeroOffloadConfig {
     pub overflow_storm_limit: u32,
     /// Stage-3 prefetch window: how many upcoming non-resident layers the
     /// parameter-partitioned engine gathers ahead of the one it is about
-    /// to run. `0` means strictly just-in-time. Only read by
-    /// [`Zero3OffloadEngine`](crate::zero3::Zero3OffloadEngine);
+    /// to run. `0` means strictly just-in-time. Only read by the ZeRO-3
+    /// placement ([`ZeroOffloadEngine::zero3`](crate::ZeroOffloadEngine::zero3));
     /// prefetching changes wall-clock overlap, never values.
     pub prefetch_layers: usize,
     /// Stage-3 persistent-parameter byte budget: gathered layers whose

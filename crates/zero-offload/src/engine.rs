@@ -1,4 +1,4 @@
-//! The real-execution ZeRO-Offload engine (single accelerator).
+//! The real-execution ZeRO-Offload engine, one type for every stage.
 //!
 //! Runs actual training with the paper's data placement faithfully
 //! emulated: the model computes forward/backward on **fp16-rounded
@@ -6,20 +6,23 @@
 //! being **rounded through fp16** (the PCIe transfer), and the fp32 master
 //! parameters, momentum and variance live in a separate host-side buffer
 //! updated by [`CpuAdam`](zo_optim::CpuAdam) — optionally one step
-//! delayed (DPU), in which
-//! case the update runs on the [`AsyncDpu`](crate::AsyncDpu) optimizer
-//! thread overlapped with the next step's forward/backward.
+//! delayed (DPU), in which case the update runs on the
+//! [`AsyncDpu`](crate::AsyncDpu) optimizer thread overlapped with the next
+//! step's forward/backward.
 //!
-//! The step state machine itself lives in [`crate::pipeline`]; this module
-//! supplies the full-replica [`Placement`] (everything moves as one piece)
-//! and the public engine type. The engine is generic over [`Model`], so
+//! The step state machine itself lives in [`crate::pipeline`]. The engine
+//! owns it plus one [`Placement`]: the full replica defined here, the
+//! ZeRO-2 shard ([`crate::zero2`]) or the ZeRO-3 parameter shard
+//! ([`crate::zero3`]). The multi-GPU forms are the same offload schedule,
+//! partitioned (paper Sec. 4.2). The engine is generic over [`Model`], so
 //! the same code trains the GPT LM of Fig. 12 and the classifier of
 //! Fig. 13.
 
+use zo_collectives::Communicator;
 use zo_fault::{lane, with_retry, FaultError, FaultSession, Site};
 use zo_nn::Model;
-use zo_optim::{clip, AdamState, DynamicLossScaler};
-use zo_tensor::{cast_f32_to_f16, F16};
+use zo_optim::AdamState;
+use zo_tensor::F16;
 use zo_trace::Tracer;
 
 use crate::bucket::{scatter_frames, GradBucketer};
@@ -28,6 +31,8 @@ use crate::pipeline::{
     build_offload_updater, GradStream, Placement, StepError, StepPipeline, Updater,
 };
 use crate::wire::{decode_frame_traced, quantize_grads, ship_frame};
+use crate::zero2::ShardPlacement;
+use crate::zero3::{Zero3Cache, Zero3Params};
 
 /// What a call to [`ZeroOffloadEngine::step`] did.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -136,27 +141,34 @@ pub(crate) struct ReplicaPlacement {
 }
 
 impl ReplicaPlacement {
+    /// The placement for a model with the given layer buckets.
+    pub(crate) fn new(
+        layer_ranges: Vec<core::ops::Range<usize>>,
+        bucket_bytes: usize,
+    ) -> ReplicaPlacement {
+        ReplicaPlacement {
+            layer_ranges,
+            bucket_bytes,
+            wire: Vec::new(),
+            wire32: Vec::new(),
+            widened: Vec::new(),
+        }
+    }
+
     /// Loads the fp16 view into the model through the reusable widening
     /// scratch (no per-step allocation).
-    fn load_model<M: Model>(&mut self, model: &mut M, p16: &[F16]) {
+    pub(crate) fn load_model(&mut self, model: &mut impl Model, p16: &[F16]) {
         self.widened.resize(p16.len(), 0.0);
         F16::to_f32_slice(p16, &mut self.widened);
         model.load_params_from(&self.widened);
     }
-}
 
-impl<M: Model> Placement<M> for ReplicaPlacement {
-    fn fwd_track(&self) -> &str {
-        "gpu"
-    }
-
-    fn counter_track(&self) -> &str {
-        "engine"
-    }
-
-    fn transfer(
+    /// Moves the gradients off the device: the tail of a window streamed
+    /// from inside backward, or the whole post-hoc transfer.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn transfer(
         &mut self,
-        model: &mut M,
+        model: &mut impl Model,
         grads: &mut [f32],
         scale: f32,
         denom: f32,
@@ -203,17 +215,10 @@ impl<M: Model> Placement<M> for ReplicaPlacement {
         Ok(overflow)
     }
 
-    fn clip_grads(&mut self, grads: &mut [f32], max_norm: f64) {
-        clip::clip_global_norm(&mut [grads], max_norm);
-    }
-
-    fn update_span(&self) -> (&str, &str) {
-        ("cpu", "cpu_adam")
-    }
-
-    fn publish(
+    /// The h2d parameter copy-back.
+    pub(crate) fn publish(
         &mut self,
-        model: &mut M,
+        model: &mut impl Model,
         p16: &[F16],
         stats: &mut EngineStats,
         tracer: &Tracer,
@@ -229,87 +234,115 @@ impl<M: Model> Placement<M> for ReplicaPlacement {
         self.load_model(model, p16);
         Ok(())
     }
-
-    fn on_skip(
-        &mut self,
-        _model: &mut M,
-        _p16: &[F16],
-        _stats: &mut EngineStats,
-        _tracer: &Tracer,
-    ) -> Result<(), FaultError> {
-        // Parameters unchanged; nothing to publish.
-        Ok(())
-    }
 }
 
-/// A training engine applying the ZeRO-Offload single-GPU schedule.
+/// A training engine applying the ZeRO-Offload schedule at any stage.
+///
+/// The stage is fixed by the constructor: [`ZeroOffloadEngine::new`] for
+/// a single accelerator holding the full replica,
+/// [`ZeroOffloadEngine::zero2`] and [`ZeroOffloadEngine::zero3`] for one
+/// data-parallel rank of a partitioned group. Every other method is the
+/// same at every stage; on a rank, [`master_params`](Self::master_params)
+/// and checkpoints cover the rank's [`shard_range`](Self::shard_range).
 pub struct ZeroOffloadEngine<M: Model> {
-    model: M,
-    pipe: StepPipeline,
-    placement: ReplicaPlacement,
+    pub(crate) model: M,
+    pub(crate) pipe: StepPipeline,
+    pub(crate) placement: Placement,
     stream: GradStream,
 }
 
 impl<M: Model> ZeroOffloadEngine<M> {
-    /// Wraps `model` for training under `cfg`.
+    /// Wraps `model` for single-accelerator training under `cfg`.
     ///
     /// The model's initial parameters become the fp32 master copy; the
     /// model itself is immediately switched to their fp16 rounding, as a
     /// GPU would hold them.
     pub fn new(mut model: M, cfg: ZeroOffloadConfig) -> ZeroOffloadEngine<M> {
-        let n = model.num_params();
-        let layer_ranges = model.layer_ranges();
-        let mut master = vec![0.0f32; n];
-        model.copy_params_to(&mut master);
-        let mut p16 = vec![F16::ZERO; n];
-        cast_f32_to_f16(&master, &mut p16);
-        let tracer = resolve_tracer(cfg.tracer);
+        let placement = ReplicaPlacement::new(model.layer_ranges(), cfg.bucket_bytes);
+        ZeroOffloadEngine::build(model, cfg, Placement::Replica(placement))
+    }
 
-        let updater = match cfg.offload {
-            OffloadDevice::None => Updater::Reference(AdamState::new(n), cfg.adam),
-            OffloadDevice::Cpu => build_offload_updater(&cfg, &master, &tracer, "optimizer"),
+    /// Wraps one rank's model replica as a ZeRO-2 rank (paper Sec. 4.2):
+    /// the rank keeps a full fp16 replica but owns only its `1/N` shard of
+    /// the optimizer state. Construction all-gathers the initial fp16
+    /// parameters, so all ranks must construct concurrently, from
+    /// identically-initialized models (same seed).
+    pub fn zero2(model: M, cfg: ZeroOffloadConfig, comm: Communicator) -> ZeroOffloadEngine<M> {
+        let placement = ShardPlacement::new(comm, model.num_params());
+        ZeroOffloadEngine::build(model, cfg, Placement::Zero2(placement))
+    }
+
+    /// Wraps one rank's model as a ZeRO-3 rank: the ZeRO-2 shard plus
+    /// partitioned fp16 parameters, gathered layer by layer around
+    /// compute. All ranks must construct identically-initialized models
+    /// (same seed).
+    ///
+    /// Construction performs *no* collectives: the model is reduced to
+    /// the fp16 view of the owned shard (everything else zeroed), and the
+    /// first step's pre-forward schedule materialises what compute needs.
+    pub fn zero3(mut model: M, cfg: ZeroOffloadConfig, comm: Communicator) -> ZeroOffloadEngine<M> {
+        let shard = ShardPlacement::new(comm, model.num_params());
+        let params = Zero3Params::new(model.layer_ranges(), &shard, &cfg);
+        ZeroOffloadEngine::build(model, cfg, Placement::Zero3(shard, params))
+    }
+
+    fn build(
+        mut model: M,
+        cfg: ZeroOffloadConfig,
+        mut placement: Placement,
+    ) -> ZeroOffloadEngine<M> {
+        let n = model.num_params();
+        let mut full = vec![0.0f32; n];
+        model.copy_params_to(&mut full);
+        let owned = placement.owned_range(n);
+        let master = if owned.len() == n {
+            full
+        } else {
+            full[owned].to_vec()
         };
-        let placement = ReplicaPlacement {
-            layer_ranges: layer_ranges.clone(),
-            bucket_bytes: cfg.bucket_bytes,
-            wire: Vec::new(),
-            wire32: Vec::new(),
-            widened: Vec::new(),
+        let tracer = resolve_tracer(cfg.tracer);
+        let updater = match (placement.shard(), cfg.offload) {
+            (None, OffloadDevice::None) => Updater::Reference(AdamState::new(n), cfg.adam),
+            (None, OffloadDevice::Cpu) => {
+                build_offload_updater(&cfg, &master, &tracer, "optimizer")
+            }
+            (Some(shard), _) => {
+                let track = format!("{}_optimizer", shard.track);
+                build_offload_updater(&cfg, &master, &tracer, &track)
+            }
         };
         let plan = resolve_fault_plan(cfg.faults);
-        let mut stream = GradStream::new(tracer.clone(), layer_ranges, cfg.bucket_bytes);
+        let mut stream = GradStream::new(tracer.clone(), model.layer_ranges(), cfg.bucket_bytes);
         stream.set_faults(FaultSession::new(plan.clone(), lane::STREAM));
-        let pipe = StepPipeline {
-            master,
-            p16,
-            grads: vec![0.0f32; n],
-            updater,
-            scaler: DynamicLossScaler::new(cfg.loss_scale),
-            micro_in_window: 0,
-            stats: EngineStats::default(),
-            tracer,
-            grad_accumulation: cfg.grad_accumulation,
-            max_grad_norm: cfg.max_grad_norm,
-            pool_base: zo_tensor::pool::global().stats(),
-            faults: FaultSession::new(plan, lane::ENGINE),
-            overflow_storm_limit: cfg.overflow_storm_limit,
-        };
-        let mut engine = ZeroOffloadEngine {
+        let mut pipe = StepPipeline::new(master, updater, tracer, &cfg, &plan);
+        // Start from the fp16 rounding of the initial parameters. A
+        // communicator's fault gate is installed only *after* this
+        // initial load — construction itself is not a fault site.
+        placement
+            .load(&mut model, &pipe.p16, &mut pipe.stats, &pipe.tracer)
+            .expect("initial load runs before fault gates are installed");
+        if let Some(shard) = placement.shard().filter(|_| plan.is_enabled()) {
+            shard.comm.install_faults(
+                FaultSession::new(plan, lane::COLLECTIVE),
+                pipe.tracer.clone(),
+                &shard.track,
+            );
+        }
+        ZeroOffloadEngine {
             model,
             pipe,
             placement,
             stream,
-        };
-        engine.sync_model_params();
-        engine
+        }
     }
 
     /// The engine's tracer (disabled unless the config installed one).
-    pub fn tracer(&self) -> &zo_trace::Tracer {
+    pub fn tracer(&self) -> &Tracer {
         &self.pipe.tracer
     }
 
-    /// The wrapped model (parameters are the fp16 view).
+    /// The wrapped model (parameters are the fp16 view; under ZeRO-3,
+    /// only the owned shard and cached layers between steps).
     pub fn model(&self) -> &M {
         &self.model
     }
@@ -319,7 +352,7 @@ impl<M: Model> ZeroOffloadEngine<M> {
         &mut self.model
     }
 
-    /// Cumulative counters.
+    /// Cumulative counters (this rank's, under ZeRO-2/3).
     pub fn stats(&self) -> &EngineStats {
         &self.pipe.stats
     }
@@ -329,29 +362,34 @@ impl<M: Model> ZeroOffloadEngine<M> {
         self.pipe.scaler.scale()
     }
 
-    /// The fp32 master parameters (host side).
+    /// The fp32 master parameters this engine owns (host side): the whole
+    /// model on one accelerator, this rank's shard under ZeRO-2/3.
     pub fn master_params(&self) -> &[f32] {
         &self.pipe.master
     }
 
-    /// The shared step pipeline (checkpoint state lives there).
-    pub(crate) fn pipe(&self) -> &StepPipeline {
-        &self.pipe
+    /// This rank (0 on a single accelerator).
+    pub fn rank(&self) -> usize {
+        self.placement.shard().map_or(0, |s| s.comm.rank())
     }
 
-    /// Mutable access to the shared step pipeline (checkpointing).
-    pub(crate) fn pipe_mut(&mut self) -> &mut StepPipeline {
-        &mut self.pipe
+    /// Group size (1 on a single accelerator).
+    pub fn world(&self) -> usize {
+        self.placement.shard().map_or(1, |s| s.comm.world())
     }
 
-    /// The step-level fault session (checkpoint-write gating).
-    pub(crate) fn faults_mut(&mut self) -> &mut FaultSession {
-        &mut self.pipe.faults
+    /// Flat-parameter range covered by [`master_params`](Self::master_params).
+    pub fn shard_range(&self) -> core::ops::Range<usize> {
+        self.placement.owned_range(self.pipe.master.len())
     }
 
-    /// Loads the fp16 view of the master parameters into the model.
-    pub(crate) fn sync_model_params(&mut self) {
-        self.placement.load_model(&mut self.model, &self.pipe.p16);
+    /// The live ZeRO-3 persistent-parameters cache (`None` at other
+    /// stages).
+    pub fn zero3_cache(&self) -> Option<&Zero3Cache> {
+        match &self.placement {
+            Placement::Zero3(_, params) => Some(&params.cache),
+            _ => None,
+        }
     }
 
     /// Runs one micro-batch and, at window boundaries, the offloaded
@@ -360,7 +398,9 @@ impl<M: Model> ZeroOffloadEngine<M> {
     ///
     /// `run_backward` must perform forward + backward on the model,
     /// accumulating gradients, and return the loss. The engine zeroes
-    /// gradients at the start of each accumulation window.
+    /// gradients at the start of each accumulation window. Under
+    /// ZeRO-2/3 all ranks must call `step` the same number of times
+    /// (collectives synchronize them).
     ///
     /// Errors are typed ([`StepError`]): the model's own backward error,
     /// a non-recoverable fault at one of the offload path's injection
@@ -382,7 +422,7 @@ impl<M: Model> ZeroOffloadEngine<M> {
     /// wire path from *inside* backward — paper Sec. 4.1's overlapped
     /// gradient offload.
     ///
-    /// `run_backward` receives the armed [`GradStream`] and must hand it to
+    /// `run_backward` receives the [`GradStream`] and must hand it to
     /// the model's hooked backward (e.g.
     /// [`GptModel::train_step_hooked`](zo_nn::GptModel::train_step_hooked)),
     /// which feeds each layer's gradients to the stream as soon as that
@@ -392,14 +432,16 @@ impl<M: Model> ZeroOffloadEngine<M> {
     /// with the same frame boundaries, only earlier.
     ///
     /// The stream is armed only for the window-closing micro-batch (with
-    /// gradient accumulation, earlier micro-batches hold incomplete sums);
-    /// if `run_backward` never feeds the stream, the engine falls back to
-    /// the post-hoc transfer.
+    /// gradient accumulation, earlier micro-batches hold incomplete sums)
+    /// and only on a single accelerator: ZeRO-2/3 ranks move gradients by
+    /// reduce-scatter, so their stream stays disarmed. A stream that is
+    /// never fed falls back to the post-hoc transfer.
     pub fn step_streamed<E>(
         &mut self,
         run_backward: impl FnOnce(&mut M, &mut GradStream) -> Result<f32, E>,
     ) -> Result<StepOutcome, StepError<E>> {
-        if self.pipe.micro_in_window + 1 >= self.pipe.grad_accumulation {
+        if self.placement.streams() && self.pipe.micro_in_window + 1 >= self.pipe.grad_accumulation
+        {
             let scale = self.pipe.scaler.scale();
             let denom = self.pipe.grad_accumulation as f32;
             self.stream.arm(scale, denom);
@@ -408,7 +450,7 @@ impl<M: Model> ZeroOffloadEngine<M> {
             &mut self.model,
             &mut self.placement,
             &mut self.stream,
-            |m, s| run_backward(m, s),
+            run_backward,
         )
     }
 }

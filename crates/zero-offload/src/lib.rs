@@ -12,9 +12,13 @@
 //! * **Real execution** — [`ZeroOffloadEngine`] trains actual models
 //!   (from `zo-nn`) with the offload data placement faithfully emulated
 //!   (fp16 device parameters, fp16 gradient wire format, host-side fp32
-//!   master + [`CpuAdam`](zo_optim::CpuAdam), optional DPU);
-//!   [`Zero2OffloadEngine`] adds real ZeRO-2 partitioned data parallelism
-//!   with threads as ranks. Used for the convergence experiments.
+//!   master + [`CpuAdam`](zo_optim::CpuAdam), optional DPU). One engine
+//!   type covers every stage through three placements:
+//!   [`ZeroOffloadEngine::new`] keeps a full replica on one accelerator,
+//!   [`ZeroOffloadEngine::zero2`] is a ZeRO-2 data-parallel rank (sharded
+//!   optimizer state), and [`ZeroOffloadEngine::zero3`] a ZeRO-3 rank
+//!   (parameters sharded too), with threads as ranks ([`run_ranks`],
+//!   [`run_zero3_ranks`]). Used for the convergence experiments.
 //! * **Simulated hardware** — [`ZeroOffloadPerf`] builds the paper's
 //!   schedule on the `zo-hetsim` stream simulator to project iteration
 //!   time, TFLOPS and scalability on the paper's V100/DGX-2 testbed; the
@@ -64,5 +68,5 @@ pub use overlap::{AsyncDpu, DpuUpdate};
 pub use perf::{IterStats, ZeroOffloadPerf};
 pub use pipeline::{GradStream, StepError};
 pub use tier::{DramTier, MemoryTier, NvmeTier, TierError, TierKind};
-pub use zero2::{run_ranks, Zero2OffloadEngine};
-pub use zero3::{run_zero3_ranks, Zero3Cache, Zero3Event, Zero3OffloadEngine, Zero3Plan};
+pub use zero2::run_ranks;
+pub use zero3::{run_zero3_ranks, Zero3Cache, Zero3Event, Zero3Plan};

@@ -1,14 +1,13 @@
-//! The shared pipelined step executor behind both training engines.
+//! The pipelined step executor behind the training engine.
 //!
-//! [`ZeroOffloadEngine`](crate::ZeroOffloadEngine) (single accelerator,
-//! full replica) and [`Zero2OffloadEngine`](crate::Zero2OffloadEngine)
-//! (ZeRO-2 shards) run the *same* step state machine — accumulation
-//! window, loss scaling, gradient transfer, overflow skip, clipping,
-//! optimizer update, fp16 copy-back. This module owns that machine once,
-//! as [`StepPipeline`], parameterized by a [`Placement`] strategy that
-//! supplies only the parts that genuinely differ: how gradients leave the
-//! device, how overflow is agreed on, and how updated parameters get back
-//! into the model.
+//! [`ZeroOffloadEngine`](crate::ZeroOffloadEngine) runs the *same* step
+//! state machine at every stage — accumulation window, loss scaling,
+//! gradient transfer, overflow skip, clipping, optimizer update, fp16
+//! copy-back. This module owns that machine once, as [`StepPipeline`],
+//! and dispatches to a [`Placement`] (full replica, ZeRO-2 shard or ZeRO-3
+//! parameter shard) for only the parts that genuinely differ: which
+//! parameters compute needs, how gradients leave the device, how overflow
+//! is agreed on, and how updated parameters get back into the model.
 //!
 //! The executor also realizes the paper's two overlaps (Sec. 4.1, Fig. 6):
 //!
@@ -25,18 +24,24 @@
 //!   stage. The observable arithmetic is bit-identical to the synchronous
 //!   [`DelayedUpdate`](zo_optim::DelayedUpdate).
 
-use zo_fault::{with_retry, FaultError, FaultSession, Site};
+use std::sync::Arc;
+
+use zo_fault::{lane, with_retry, FaultError, FaultPlan, FaultSession, Site};
 use zo_nn::{BackwardHook, Model};
-use zo_optim::{adam_reference_step, AdamParams, AdamState, CpuAdamConfig, DynamicLossScaler};
+use zo_optim::{
+    adam_reference_step, clip, AdamParams, AdamState, CpuAdamConfig, DynamicLossScaler,
+};
 use zo_tensor::{cast_f32_to_f16, F16};
 use zo_trace::{names, Tracer};
 
 use crate::bucket::GradBucketer;
 use crate::config::ZeroOffloadConfig;
-use crate::engine::{EngineStats, StepOutcome};
+use crate::engine::{EngineStats, ReplicaPlacement, StepOutcome};
 use crate::overlap::AsyncDpu;
 use crate::tier::{NvmeTier, TierKind, TieredAdam};
 use crate::wire::quantize_grads;
+use crate::zero2::ShardPlacement;
+use crate::zero3::Zero3Params;
 
 /// Why a training step failed.
 ///
@@ -90,30 +95,99 @@ impl<E: core::fmt::Display> core::fmt::Display for StepError<E> {
 
 impl<E: core::fmt::Display + core::fmt::Debug> std::error::Error for StepError<E> {}
 
-/// The stages of the step state machine that differ between the
-/// full-replica and the ZeRO-2 sharded placements.
+/// Where one engine's model state lives: the only part of the step state
+/// machine that differs between stages.
 ///
-/// [`StepPipeline::step`] calls these in a fixed order; implementations
-/// must not change step semantics, only *where* data lives and moves.
-pub(crate) trait Placement<M: Model> {
+/// [`StepPipeline::step`] calls the hooks below in a fixed order; a
+/// placement must not change step semantics, only *where* data lives and
+/// moves.
+pub(crate) enum Placement {
+    /// One accelerator: a full fp16 replica on the device, the whole fp32
+    /// state on the host, gradients over "PCIe" in layer buckets.
+    Replica(ReplicaPlacement),
+    /// A ZeRO-2 rank: full fp16 replica, sharded optimizer state
+    /// (reduce-scatter in, all-gather out).
+    Zero2(ShardPlacement),
+    /// A ZeRO-3 rank: the ZeRO-2 shard plus partitioned fp16 parameters,
+    /// gathered layer by layer around compute.
+    Zero3(ShardPlacement, Zero3Params),
+}
+
+impl Placement {
+    /// The data-parallel shard (`None` for the replica).
+    pub(crate) fn shard(&self) -> Option<&ShardPlacement> {
+        match self {
+            Placement::Replica(_) => None,
+            Placement::Zero2(shard) | Placement::Zero3(shard, _) => Some(shard),
+        }
+    }
+
+    /// Flat-parameter range whose fp32 state this member owns, for a
+    /// model of `num_params` parameters.
+    pub(crate) fn owned_range(&self, num_params: usize) -> core::ops::Range<usize> {
+        self.shard().map_or(0..num_params, |s| s.range.clone())
+    }
+
+    /// Whether backward can feed a [`GradStream`]: only the replica ships
+    /// per-layer wire frames; shards move gradients by reduce-scatter.
+    pub(crate) fn streams(&self) -> bool {
+        matches!(self, Placement::Replica(_))
+    }
+
     /// Track carrying the `fwd_bwd` span.
-    fn fwd_track(&self) -> &str;
+    fn fwd_track(&self) -> &str {
+        self.shard().map_or("gpu", |s| &s.track)
+    }
 
     /// Track carrying the `steps_applied` / `steps_skipped` counters.
-    fn counter_track(&self) -> &str;
+    fn counter_track(&self) -> &str {
+        self.shard().map_or("engine", |s| &s.track)
+    }
+
+    /// `(track, name)` of the optimizer-update span.
+    fn update_span(&self) -> (&str, &str) {
+        self.shard()
+            .map_or(("cpu", "cpu_adam"), |s| (&s.track, "partition_update"))
+    }
+
+    /// Whether this member closes the tracer step boundary (the replica,
+    /// or rank 0: `StepMetrics` sums counter deltas over tracks, so the
+    /// per-step row aggregates all ranks).
+    fn closes_step(&self) -> bool {
+        self.shard().is_none_or(|s| s.comm.rank() == 0)
+    }
+
+    /// Loads the model from the fp16 master view, at construction and
+    /// after a checkpoint restore: the replica copies it in, a ZeRO-2
+    /// rank all-gathers the shards, a ZeRO-3 rank keeps only its own
+    /// shard and restarts its parameter cache cold.
+    pub(crate) fn load<M: Model>(
+        &mut self,
+        model: &mut M,
+        p16: &[F16],
+        stats: &mut EngineStats,
+        tracer: &Tracer,
+    ) -> Result<(), FaultError> {
+        match self {
+            Placement::Replica(replica) => replica.load_model(model, p16),
+            Placement::Zero2(shard) => shard.gather_and_load(model, p16, stats, tracer)?,
+            Placement::Zero3(shard, params) => params.reset(shard, model, p16),
+        }
+        Ok(())
+    }
 
     /// Materialises whatever parameters the upcoming forward/backward
-    /// needs. A no-op for placements that keep a full replica; the stage-3
-    /// placement runs its gather/release schedule here (gated by the
-    /// `collective.param_allgather` / `param.release` fault sites).
-    fn pre_forward(
+    /// needs: the stage-3 gather/release schedule, a no-op elsewhere.
+    fn pre_forward<M: Model>(
         &mut self,
-        _model: &mut M,
-        _p16: &[F16],
-        _stats: &mut EngineStats,
-        _tracer: &Tracer,
+        model: &mut M,
+        p16: &[F16],
+        tracer: &Tracer,
     ) -> Result<(), FaultError> {
-        Ok(())
+        match self {
+            Placement::Zero3(shard, params) => params.pre_forward(shard, model, p16, tracer),
+            _ => Ok(()),
+        }
     }
 
     /// Moves this member's gradients off the device into `grads` (sized
@@ -123,7 +197,7 @@ pub(crate) trait Placement<M: Model> {
     /// through `faults`; transients are retried internally, so an `Err`
     /// is always fatal or retry-exhausted.
     #[allow(clippy::too_many_arguments)]
-    fn transfer(
+    fn transfer<M: Model>(
         &mut self,
         model: &mut M,
         grads: &mut [f32],
@@ -133,48 +207,74 @@ pub(crate) trait Placement<M: Model> {
         stats: &mut EngineStats,
         tracer: &Tracer,
         faults: &mut FaultSession,
-    ) -> Result<bool, FaultError>;
+    ) -> Result<bool, FaultError> {
+        match self {
+            Placement::Replica(replica) => {
+                replica.transfer(model, grads, scale, denom, stream, stats, tracer, faults)
+            }
+            Placement::Zero2(shard) | Placement::Zero3(shard, _) => {
+                shard.transfer(model, grads, scale, denom, stats, tracer, faults)
+            }
+        }
+    }
 
-    /// Folds the local overflow flag across the group (collective for
-    /// multi-rank placements; identity for a single replica).
+    /// Folds the local overflow flag across the group (all-reduce for
+    /// ranks; identity for a single replica).
     fn combine_overflow(&mut self, local: bool) -> bool {
-        local
+        match self {
+            Placement::Replica(_) => local,
+            Placement::Zero2(shard) | Placement::Zero3(shard, _) => shard.combine_overflow(local),
+        }
     }
 
     /// Gradient clipping. The replica clips the full gradient; shards
     /// skip it (a faithful global norm would need another collective).
-    fn clip_grads(&mut self, grads: &mut [f32], max_norm: f64);
-
-    /// `(track, name)` of the optimizer-update span.
-    fn update_span(&self) -> (&str, &str);
+    fn clip_grads(&mut self, grads: &mut [f32], max_norm: f64) {
+        if let Placement::Replica(_) = self {
+            clip::clip_global_norm(&mut [grads], max_norm);
+        }
+    }
 
     /// Publishes the fp16 parameters back into the model — the h2d
-    /// parameter copy for a replica, all-gather for a shard. Gated by the
+    /// parameter copy for a replica, all-gather for a ZeRO-2 shard, the
+    /// owned-shard copy plus cache refresh for ZeRO-3. Gated by the
     /// `wire.h2d` / `collective.allgather` fault sites.
-    fn publish(
+    fn publish<M: Model>(
         &mut self,
         model: &mut M,
         p16: &[F16],
         stats: &mut EngineStats,
         tracer: &Tracer,
         faults: &mut FaultSession,
-    ) -> Result<(), FaultError>;
+    ) -> Result<(), FaultError> {
+        match self {
+            Placement::Replica(replica) => replica.publish(model, p16, stats, tracer, faults),
+            // The all-gather is the sharded copy-back; its gate lives on
+            // the communicator's shared session, not the per-rank one.
+            Placement::Zero2(shard) => shard.gather_and_load(model, p16, stats, tracer),
+            Placement::Zero3(shard, params) => {
+                params.publish_boundary(shard, model, p16, stats, tracer)
+            }
+        }
+    }
 
-    /// Runs on an overflow-skipped step, after counters. Shard placements
-    /// must still execute their collectives to keep ranks in lock-step
-    /// (which is also why this can fault).
-    fn on_skip(
+    /// Runs on an overflow-skipped step, after counters. The replica's
+    /// parameters are unchanged, so nothing moves; ranks still run the
+    /// same collective sequence as [`Placement::publish`] to stay in
+    /// lock-step (which is also why this can fault), and ZeRO-3's
+    /// boundary invariant (shard + cache only) holds after skips too.
+    fn on_skip<M: Model>(
         &mut self,
         model: &mut M,
         p16: &[F16],
         stats: &mut EngineStats,
         tracer: &Tracer,
-    ) -> Result<(), FaultError>;
-
-    /// Whether this member closes the tracer step boundary (rank 0 or
-    /// the single replica).
-    fn closes_step(&self) -> bool {
-        true
+        faults: &mut FaultSession,
+    ) -> Result<(), FaultError> {
+        match self {
+            Placement::Replica(_) => Ok(()),
+            _ => self.publish(model, p16, stats, tracer, faults),
+        }
     }
 }
 
@@ -194,9 +294,8 @@ pub(crate) enum Updater {
     Tiered(TieredAdam),
 }
 
-/// Builds the host-side optimizer for an offloaded engine (single
-/// replica, ZeRO-2 shard or ZeRO-3 shard) from the config's offload
-/// knobs.
+/// Builds the host-side optimizer for an offloaded engine (any
+/// placement) from the config's offload knobs.
 ///
 /// Precedence: `dpu_warmup` wins over `optimizer_tier` — the DPU's
 /// optimizer thread owns a DRAM-resident copy of the states by design,
@@ -366,7 +465,8 @@ impl PipelinedDpu {
 ///
 /// The hook is inert until armed by the engine for a window-final
 /// micro-batch; a plain [`ZeroOffloadEngine::step`](crate::ZeroOffloadEngine::step)
-/// never arms it and transfers post hoc instead. Streaming applies the
+/// never arms it and transfers post hoc instead, and neither does a
+/// ZeRO-2/3 rank, whose gradients move by reduce-scatter. Streaming applies the
 /// same loss-scale fp16 rounding, pushes slices at the same flat offsets
 /// in the same backward order (head first, blocks reversed, embeddings
 /// last), and therefore produces byte-identical wire frames — scheduling
@@ -399,11 +499,6 @@ pub struct GradStream {
 }
 
 impl GradStream {
-    /// A stream that never fires (placements that cannot stream).
-    pub(crate) fn inert() -> GradStream {
-        GradStream::new(Tracer::disabled(), Vec::new(), 2)
-    }
-
     /// A disarmed stream for a model with the given layer ranges.
     pub(crate) fn new(
         tracer: Tracer,
@@ -525,7 +620,7 @@ impl BackwardHook for GradStream {
     fn on_bucket(&mut self, _bucket: usize) {}
 }
 
-/// The step state machine shared by both engines.
+/// The step state machine shared by every placement.
 ///
 /// Owns everything placement-independent: the fp32 master copy (full or
 /// shard), its fp16 mirror, the optimizer-input gradient buffer, the
@@ -554,12 +649,48 @@ pub(crate) struct StepPipeline {
 }
 
 impl StepPipeline {
+    /// A fresh pipeline over `master` (the full model or this rank's
+    /// shard) with `cfg`'s loss scaling, accumulation window, clipping and
+    /// storm limit.
+    pub(crate) fn new(
+        master: Vec<f32>,
+        updater: Updater,
+        tracer: Tracer,
+        cfg: &ZeroOffloadConfig,
+        plan: &Arc<FaultPlan>,
+    ) -> StepPipeline {
+        let n = master.len();
+        let mut p16 = vec![F16::ZERO; n];
+        cast_f32_to_f16(&master, &mut p16);
+        StepPipeline {
+            master,
+            p16,
+            grads: vec![0.0f32; n],
+            updater,
+            scaler: DynamicLossScaler::new(cfg.loss_scale),
+            micro_in_window: 0,
+            stats: EngineStats::default(),
+            tracer,
+            grad_accumulation: cfg.grad_accumulation,
+            max_grad_norm: cfg.max_grad_norm,
+            pool_base: zo_tensor::pool::global().stats(),
+            // Every rank of a group uses lane ENGINE (no rank offset):
+            // lock-step SPMD execution visits every site in the same
+            // order, so identical lanes make identical per-rank fault
+            // decisions — a fatal `wire.d2h` or `optim.cpu_step` fault
+            // errors on *every* rank before the next collective, never
+            // deadlocking a barrier.
+            faults: FaultSession::new(plan.clone(), lane::ENGINE),
+            overflow_storm_limit: cfg.overflow_storm_limit,
+        }
+    }
+
     /// Captures the pipeline-owned training state (master copy, optimizer
     /// moments, loss scaler, DPU bookkeeping, step counters) as a
     /// [`TrainingCheckpoint`]. Shared by every engine stage: for the
-    /// single-GPU engine the master spans the full model, for the sharded
-    /// engines it is this rank's partition — the checkpoint is shard-sized
-    /// either way, and the engine wrapper decides what "whole run" means.
+    /// single-GPU placement the master spans the full model, for the
+    /// sharded placements it is this rank's partition — the checkpoint is
+    /// shard-sized either way; restoring every rank's restores the run.
     ///
     /// For the async DPU this reads the caller-side mirrors, which exclude
     /// any in-flight update — the snapshot is identical to one taken by a
@@ -581,8 +712,7 @@ impl StepPipeline {
     /// mirror (recomputed from the master — it is a pure function of it).
     ///
     /// Does NOT reload the wrapped model: every placement materializes its
-    /// device view differently (full replica gather, stage-3 shard reset),
-    /// so the engine wrapper finishes the job.
+    /// device view differently ([`Placement::load`] finishes the job).
     pub(crate) fn restore_state(
         &mut self,
         ckpt: &crate::checkpoint::TrainingCheckpoint,
@@ -692,16 +822,15 @@ impl StepPipeline {
 
     /// One micro-batch through the state machine; at window boundaries,
     /// the full transfer → overflow → clip → update → publish sequence.
-    pub(crate) fn step<M, P, E, F>(
+    pub(crate) fn step<M, E, F>(
         &mut self,
         model: &mut M,
-        placement: &mut P,
+        placement: &mut Placement,
         stream: &mut GradStream,
         run_backward: F,
     ) -> Result<StepOutcome, StepError<E>>
     where
         M: Model,
-        P: Placement<M>,
         F: FnOnce(&mut M, &mut GradStream) -> Result<f32, E>,
     {
         if self.micro_in_window == 0 {
@@ -710,7 +839,7 @@ impl StepPipeline {
         // Stage-3 placements gather the layers this micro-batch needs
         // before compute starts; a fatal gather fault surfaces before any
         // state mutates, on every rank together (shared collective lane).
-        if let Err(f) = placement.pre_forward(model, &self.p16, &mut self.stats, &self.tracer) {
+        if let Err(f) = placement.pre_forward(model, &self.p16, &self.tracer) {
             let closes = placement.closes_step();
             self.close_boundary(closes);
             return Err(StepError::Fault(f));
@@ -780,7 +909,13 @@ impl StepPipeline {
             let (utrack, uname) = placement.update_span();
             let now = self.tracer.now_us();
             self.tracer.record_span(utrack, uname, now, 0);
-            if let Err(f) = placement.on_skip(model, &self.p16, &mut self.stats, &self.tracer) {
+            if let Err(f) = placement.on_skip(
+                model,
+                &self.p16,
+                &mut self.stats,
+                &self.tracer,
+                &mut self.faults,
+            ) {
                 let closes = placement.closes_step();
                 self.close_boundary(closes);
                 return Err(StepError::Fault(f));

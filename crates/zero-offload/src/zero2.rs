@@ -9,36 +9,35 @@
 //! its shard, and the updated fp16 parameters are re-assembled on every
 //! rank with all-gather (the broadcast sequence of Fig. 5).
 //!
-//! The step state machine is the shared [`StepPipeline`] from
-//! [`crate::pipeline`] — the same one behind the single-GPU engine — so
-//! this module only supplies the sharded [`Placement`]: the collectives,
-//! the per-rank tracks, and the lock-step bookkeeping.
+//! The engine is the same [`ZeroOffloadEngine`] as on one accelerator,
+//! built with [`ZeroOffloadEngine::zero2`]; this module supplies only the
+//! sharded placement — the collectives, the per-rank tracks, and the
+//! lock-step bookkeeping — which ZeRO-3 ([`crate::zero3`]) extends with
+//! parameter partitioning.
 
 use zo_collectives::{partition_range, Communicator};
-use zo_fault::{lane, with_retry, FaultError, FaultSession, Site};
+use zo_fault::{with_retry, FaultError, FaultSession, Site};
 use zo_nn::Model;
-use zo_optim::DynamicLossScaler;
-use zo_tensor::{cast_f32_to_f16, F16};
+use zo_tensor::F16;
 use zo_trace::Tracer;
 
-use crate::checkpoint::{CheckpointError, TrainingCheckpoint};
-use crate::config::{resolve_fault_plan, resolve_tracer, ZeroOffloadConfig};
-use crate::engine::{EngineStats, StepOutcome};
-use crate::pipeline::{build_offload_updater, GradStream, Placement, StepError, StepPipeline};
+use crate::config::ZeroOffloadConfig;
+use crate::engine::{EngineStats, ZeroOffloadEngine};
 use crate::wire::roundtrip_grads;
 
 /// The ZeRO-2 placement: reduce-scatter in, shard-wise fp16 rounding,
 /// all-gather out; overflow agreed by all-reduce so every rank skips (or
 /// applies) the same step.
-struct ShardPlacement {
-    comm: Communicator,
-    shard_start: usize,
-    num_params: usize,
-    track: String,
+pub(crate) struct ShardPlacement {
+    pub(crate) comm: Communicator,
+    /// Flat-parameter range this rank owns.
+    pub(crate) range: core::ops::Range<usize>,
+    pub(crate) num_params: usize,
+    pub(crate) track: String,
     /// Full-model gradient staging for the reduce-scatter, reused.
     full_grads: Vec<f32>,
-    /// fp32 widening scratch for the all-gather, reused across steps.
-    shard_f32: Vec<f32>,
+    /// fp32 widening of this rank's fp16 shard, rebuilt when p16 changes.
+    pub(crate) shard_f32: Vec<f32>,
     /// fp16 scratch for the shard's PCIe round trip, reused.
     wire16: Vec<F16>,
     /// fp32 scale scratch feeding the batched narrowing codec, reused.
@@ -46,49 +45,59 @@ struct ShardPlacement {
 }
 
 impl ShardPlacement {
+    /// The placement of `comm`'s rank over a `num_params`-parameter model.
+    pub(crate) fn new(comm: Communicator, num_params: usize) -> ShardPlacement {
+        ShardPlacement {
+            range: partition_range(num_params, comm.world(), comm.rank()),
+            track: format!("rank{}", comm.rank()),
+            comm,
+            num_params,
+            full_grads: vec![0.0f32; num_params],
+            shard_f32: Vec::new(),
+            wire16: Vec::new(),
+            wire32: Vec::new(),
+        }
+    }
+
+    /// Widens this rank's fp16 shard into `shard_f32`.
+    pub(crate) fn widen(&mut self, p16: &[F16]) {
+        self.shard_f32.resize(p16.len(), 0.0);
+        F16::to_f32_slice(p16, &mut self.shard_f32);
+    }
+
     /// All-gathers the fp16 shards and loads the full model. Gated by the
     /// `collective.allgather` fault site (the communicator's session, so
     /// every rank draws the same decision and errors in lock-step).
-    fn gather_and_load<M: Model>(
+    pub(crate) fn gather_and_load(
         &mut self,
-        model: &mut M,
+        model: &mut impl Model,
         p16: &[F16],
         stats: &mut EngineStats,
         tracer: &Tracer,
     ) -> Result<(), FaultError> {
         let _gather = tracer.span(&self.track, "all_gather");
-        self.shard_f32.resize(p16.len(), 0.0);
-        F16::to_f32_slice(p16, &mut self.shard_f32);
+        self.widen(p16);
         let full = self.comm.try_all_gather(&self.shard_f32, self.num_params)?;
         model.load_params_from(&full);
         stats.h2d_bytes += 2 * p16.len() as u64;
         tracer.add(&self.track, "h2d_bytes", 2 * p16.len() as u64);
         Ok(())
     }
-}
 
-impl<M: Model> Placement<M> for ShardPlacement {
-    fn fwd_track(&self) -> &str {
-        &self.track
-    }
-
-    fn counter_track(&self) -> &str {
-        &self.track
-    }
-
-    fn transfer(
+    /// Reduce-scatters the averaged gradients so this rank receives its
+    /// owned shard only (Fig. 5, line 29), then ships the shard across
+    /// PCIe as fp16 with loss scaling. Returns the local overflow flag.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn transfer(
         &mut self,
-        model: &mut M,
+        model: &mut impl Model,
         grads: &mut [f32],
         scale: f32,
         denom: f32,
-        _stream: &mut GradStream,
         stats: &mut EngineStats,
         tracer: &Tracer,
         faults: &mut FaultSession,
     ) -> Result<bool, FaultError> {
-        // Reduce-scatter the averaged gradients: this rank receives its
-        // owned shard only (Fig. 5, line 29).
         {
             let _rs = tracer.span(&self.track, "reduce_scatter");
             model.copy_grads_to(&mut self.full_grads);
@@ -97,234 +106,28 @@ impl<M: Model> Placement<M> for ShardPlacement {
         }
         // The reduced shard crosses PCIe: the per-rank wire gate.
         with_retry(faults, Site::WireD2h, tracer, &self.track, || ())?;
-
-        // The shard crosses PCIe as fp16, with loss scaling.
         let overflow = roundtrip_grads(grads, denom, scale, &mut self.wire32, &mut self.wire16);
         stats.d2h_bytes += 2 * grads.len() as u64;
         tracer.add(&self.track, "d2h_bytes", 2 * grads.len() as u64);
         Ok(overflow)
     }
 
-    fn combine_overflow(&mut self, local: bool) -> bool {
-        // Overflow anywhere must skip the step everywhere.
+    /// Overflow anywhere must skip the step everywhere.
+    pub(crate) fn combine_overflow(&mut self, local: bool) -> bool {
         let mut flag = vec![if local { 1.0f32 } else { 0.0 }];
         self.comm.all_reduce_sum(&mut flag);
         flag[0] > 0.0
     }
-
-    fn clip_grads(&mut self, _grads: &mut [f32], _max_norm: f64) {
-        // A faithful global-norm clip would need another collective over
-        // the shards; the sharded engine does not clip.
-    }
-
-    fn update_span(&self) -> (&str, &str) {
-        (&self.track, "partition_update")
-    }
-
-    fn publish(
-        &mut self,
-        model: &mut M,
-        p16: &[F16],
-        stats: &mut EngineStats,
-        tracer: &Tracer,
-        _faults: &mut FaultSession,
-    ) -> Result<(), FaultError> {
-        // The all-gather is the sharded copy-back; its gate lives on the
-        // communicator's shared session, not the per-rank one.
-        self.gather_and_load(model, p16, stats, tracer)
-    }
-
-    fn on_skip(
-        &mut self,
-        model: &mut M,
-        p16: &[F16],
-        stats: &mut EngineStats,
-        tracer: &Tracer,
-    ) -> Result<(), FaultError> {
-        // Parameters unchanged, but ranks must stay in lock-step through
-        // the same collective sequence.
-        self.gather_and_load(model, p16, stats, tracer)
-    }
-
-    fn closes_step(&self) -> bool {
-        // One rank closes the step boundary: `StepMetrics` sums counter
-        // deltas over tracks, so the per-step row aggregates all ranks.
-        self.comm.rank() == 0
-    }
 }
 
-/// One data-parallel rank of a ZeRO-2 + offload training group.
-pub struct Zero2OffloadEngine<M: Model> {
-    model: M,
-    pipe: StepPipeline,
-    placement: ShardPlacement,
-    /// Inert: the sharded path transfers via reduce-scatter, not the
-    /// per-layer wire stream.
-    stream: GradStream,
-}
-
-impl<M: Model> Zero2OffloadEngine<M> {
-    /// Wraps one rank's model replica.
-    ///
-    /// All ranks must construct identically-initialized models (same seed)
-    /// — exactly as data-parallel training requires.
-    pub fn new(mut model: M, cfg: ZeroOffloadConfig, comm: Communicator) -> Zero2OffloadEngine<M> {
-        let n = model.num_params();
-        let range = partition_range(n, comm.world(), comm.rank());
-        let mut full = vec![0.0f32; n];
-        model.copy_params_to(&mut full);
-        let master = full[range.clone()].to_vec();
-        let shard_len = master.len();
-        let tracer = resolve_tracer(cfg.tracer);
-        let track = format!("rank{}", comm.rank());
-        let updater = build_offload_updater(&cfg, &master, &tracer, &format!("{track}_optimizer"));
-        let mut p16 = vec![F16::ZERO; shard_len];
-        cast_f32_to_f16(&master, &mut p16);
-        let plan = resolve_fault_plan(cfg.faults);
-        let placement = ShardPlacement {
-            comm,
-            shard_start: range.start,
-            num_params: n,
-            track,
-            full_grads: vec![0.0f32; n],
-            shard_f32: Vec::new(),
-            wire16: Vec::new(),
-            wire32: Vec::new(),
-        };
-        let pipe = StepPipeline {
-            master,
-            p16,
-            grads: vec![0.0f32; shard_len],
-            updater,
-            scaler: DynamicLossScaler::new(cfg.loss_scale),
-            micro_in_window: 0,
-            stats: EngineStats::default(),
-            tracer,
-            grad_accumulation: cfg.grad_accumulation,
-            max_grad_norm: 0.0,
-            pool_base: zo_tensor::pool::global().stats(),
-            // All ranks share lane ENGINE (no rank offset): lock-step SPMD
-            // execution visits every site in the same order, so identical
-            // lanes make identical per-rank fault decisions — a fatal
-            // `wire.d2h` or `optim.cpu_step` fault errors on *every* rank
-            // before the next collective, never deadlocking a barrier.
-            faults: FaultSession::new(plan.clone(), lane::ENGINE),
-            overflow_storm_limit: cfg.overflow_storm_limit,
-        };
-        let mut engine = Zero2OffloadEngine {
-            model,
-            pipe,
-            placement,
-            stream: GradStream::inert(),
-        };
-        // Start from the fp16 rounding of the initial parameters, agreed
-        // across ranks through the same gather path used in training. The
-        // communicator's fault gate is installed only *after* this
-        // initialization sync — construction itself is not a fault site.
-        engine
-            .placement
-            .gather_and_load(
-                &mut engine.model,
-                &engine.pipe.p16,
-                &mut engine.pipe.stats,
-                &engine.pipe.tracer,
-            )
-            .expect("initial gather runs before fault gates are installed");
-        if plan.is_enabled() {
-            engine.placement.comm.install_faults(
-                FaultSession::new(plan, lane::COLLECTIVE),
-                engine.pipe.tracer.clone(),
-                &engine.placement.track,
-            );
-        }
-        engine
-    }
-
-    /// This rank.
-    pub fn rank(&self) -> usize {
-        self.placement.comm.rank()
-    }
-
-    /// Group size.
-    pub fn world(&self) -> usize {
-        self.placement.comm.world()
-    }
-
-    /// Cumulative counters for this rank.
-    pub fn stats(&self) -> &EngineStats {
-        &self.pipe.stats
-    }
-
-    /// The wrapped model.
-    pub fn model(&self) -> &M {
-        &self.model
-    }
-
-    /// Mutable access to the wrapped model.
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
-    }
-
-    /// This rank's fp32 master shard.
-    pub fn master_shard(&self) -> &[f32] {
-        &self.pipe.master
-    }
-
-    /// Flat-parameter range owned by this rank (ZeRO-2 partition).
-    pub fn shard_range(&self) -> core::ops::Range<usize> {
-        self.placement.shard_start..self.placement.shard_start + self.pipe.master.len()
-    }
-
-    /// One micro-batch; at window boundaries, the partitioned update.
-    ///
-    /// All ranks must call `step` the same number of times (collectives
-    /// synchronize them).
-    pub fn step<E>(
-        &mut self,
-        run_backward: impl FnOnce(&mut M) -> Result<f32, E>,
-    ) -> Result<StepOutcome, StepError<E>> {
-        self.pipe.step(
-            &mut self.model,
-            &mut self.placement,
-            &mut self.stream,
-            |m, _| run_backward(m),
-        )
-    }
-
-    /// Captures this rank's training state (shard-sized: master, moments,
-    /// scaler, DPU clock, counters). Every rank checkpoints its own
-    /// shard; restoring all shards restores the run.
-    pub fn save_checkpoint(&self) -> TrainingCheckpoint {
-        self.pipe.capture_state()
-    }
-
-    /// Restores a checkpoint saved by the same rank of an identically
-    /// configured group, then all-gathers the restored shards to reload
-    /// the full fp16 replica.
-    ///
-    /// The reload is a collective: **all ranks must restore
-    /// concurrently**, like [`Zero2OffloadEngine::step`].
-    pub fn restore_checkpoint(&mut self, ckpt: &TrainingCheckpoint) -> Result<(), CheckpointError> {
-        self.pipe.restore_state(ckpt)?;
-        self.placement
-            .gather_and_load(
-                &mut self.model,
-                &self.pipe.p16,
-                &mut self.pipe.stats,
-                &self.pipe.tracer,
-            )
-            .map_err(CheckpointError::Fault)
-    }
-}
-
-/// Runs `world` ranks on threads; `body` receives each rank's engine.
+/// Runs `world` ZeRO-2 ranks; `body` receives each rank's engine.
 ///
 /// Convenience harness used by tests, examples and benches. Returns each
 /// rank's output in rank order.
 ///
 /// # Panics
 ///
-/// Propagates panics from worker threads.
+/// Propagates panics from the ranks.
 pub fn run_ranks<M, T, F>(
     world: usize,
     cfg: ZeroOffloadConfig,
@@ -334,33 +137,44 @@ pub fn run_ranks<M, T, F>(
 where
     M: Model + Send,
     T: Send,
-    F: Fn(&mut Zero2OffloadEngine<M>) -> T + Send + Sync,
+    F: Fn(&mut ZeroOffloadEngine<M>) -> T + Send + Sync,
 {
-    let comms = Communicator::group(world);
+    on_ranks(Communicator::group(world), |comm| {
+        body(&mut ZeroOffloadEngine::zero2(
+            make_model(comm.rank()),
+            cfg,
+            comm,
+        ))
+    })
+}
+
+/// Runs `f` once per rank endpoint, concurrently — collectives inside
+/// `f` block until every rank arrives. Rank 0 runs on the calling thread
+/// and only ranks `1..` are spawned. Returns the outputs in rank order.
+///
+/// # Panics
+///
+/// Propagates panics from the ranks.
+pub(crate) fn on_ranks<T: Send>(
+    comms: Vec<Communicator>,
+    f: impl Fn(Communicator) -> T + Sync,
+) -> Vec<T> {
+    let mut comms = comms.into_iter();
+    let Some(first) = comms.next() else {
+        return Vec::new();
+    };
     std::thread::scope(|scope| {
-        let body = &body;
-        let make_model = &make_model;
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|comm| {
-                scope.spawn(move || {
-                    let rank = comm.rank();
-                    let mut engine = Zero2OffloadEngine::new(make_model(rank), cfg, comm);
-                    body(&mut engine)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rank panicked"))
-            .collect()
+        let f = &f;
+        let rest: Vec<_> = comms.map(|comm| scope.spawn(move || f(comm))).collect();
+        let mut out = vec![f(first)];
+        out.extend(rest.into_iter().map(|h| h.join().expect("rank panicked")));
+        out
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ZeroOffloadEngine;
     use zo_models::BigramLm;
     use zo_nn::{GptConfig, GptModel};
     use zo_optim::{AdamParams, LossScaleConfig};
@@ -497,7 +311,7 @@ mod tests {
                         .unwrap();
                 }
                 (
-                    engine.master_shard().len(),
+                    engine.master_params().len(),
                     engine.stats().d2h_bytes,
                     engine.model_mut().num_params(),
                 )

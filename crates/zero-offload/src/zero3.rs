@@ -27,19 +27,20 @@
 //! Released layers are zeroed in the model at each step boundary, so
 //! between steps a rank provably holds only its own shard plus the cache
 //! — the gather path is load-bearing, not decorative.
+//!
+//! The engine is the same [`ZeroOffloadEngine`], built with
+//! [`ZeroOffloadEngine::zero3`]: this module adds the schedule model and
+//! the parameter half of the placement on top of ZeRO-2's shard.
 
 use zo_collectives::{partition_range, Communicator};
-use zo_fault::{lane, with_retry, FaultError, FaultSession, Site};
+use zo_fault::FaultError;
 use zo_nn::Model;
-use zo_optim::DynamicLossScaler;
-use zo_tensor::{cast_f32_to_f16, F16};
+use zo_tensor::F16;
 use zo_trace::{names, Tracer};
 
-use crate::checkpoint::{CheckpointError, TrainingCheckpoint};
-use crate::config::{resolve_fault_plan, resolve_tracer, ZeroOffloadConfig};
-use crate::engine::{EngineStats, StepOutcome};
-use crate::pipeline::{build_offload_updater, GradStream, Placement, StepError, StepPipeline};
-use crate::wire::roundtrip_grads;
+use crate::config::ZeroOffloadConfig;
+use crate::engine::{EngineStats, ZeroOffloadEngine};
+use crate::zero2::{on_ranks, ShardPlacement};
 
 /// One entry in the stage-3 gather/release schedule.
 ///
@@ -306,79 +307,144 @@ impl Zero3Plan {
     }
 }
 
-/// The stage-3 placement: layer-granular gather/release around compute,
-/// reduce-scatter gradients in, owned-shard copy-back plus cache refresh
-/// out. PCIe volume stays at ZeRO-2's `4M/N` per rank (only the owned
-/// shard crosses the simulated link); the parameter collectives are
-/// accounted separately under `param_traffic_bytes`.
-struct Zero3Placement {
-    comm: Communicator,
+/// The stage-3 extension of the shard placement: layer-granular
+/// gather/release around compute, owned-shard copy-back plus cache
+/// refresh out. Gradients arrive by the same reduce-scatter as ZeRO-2,
+/// so PCIe volume stays at `4M/N` per rank (only the owned shard crosses
+/// the simulated link); the parameter collectives are accounted
+/// separately under `param_traffic_bytes`.
+pub(crate) struct Zero3Params {
     plan: Zero3Plan,
-    cache: Zero3Cache,
-    track: String,
+    pub(crate) cache: Zero3Cache,
     gauge: String,
-    /// Full-model gradient staging for the reduce-scatter, reused.
-    full_grads: Vec<f32>,
-    /// fp32 widening of this rank's fp16 shard, rebuilt when p16 changes.
-    shard_f32: Vec<f32>,
-    /// fp16 scratch for the shard's PCIe round trip, reused.
-    wire16: Vec<F16>,
-    /// fp32 scale scratch feeding the batched narrowing codec, reused.
-    wire32: Vec<f32>,
 }
 
-impl Zero3Placement {
-    fn widen_shard(&mut self, p16: &[F16]) {
-        self.shard_f32.resize(p16.len(), 0.0);
-        F16::to_f32_slice(p16, &mut self.shard_f32);
+impl Zero3Params {
+    /// The schedule state of `shard`'s rank under `cfg`'s prefetch
+    /// window and persistent-cache budget.
+    pub(crate) fn new(
+        layers: Vec<core::ops::Range<usize>>,
+        shard: &ShardPlacement,
+        cfg: &ZeroOffloadConfig,
+    ) -> Zero3Params {
+        let (world, rank) = (shard.comm.world(), shard.comm.rank());
+        Zero3Params {
+            plan: Zero3Plan::new(
+                layers,
+                shard.num_params,
+                world,
+                rank,
+                cfg.prefetch_layers,
+                cfg.persistent_param_bytes,
+            ),
+            cache: Zero3Cache::new(),
+            gauge: format!("{}.rank{rank}", names::PARAM_HWM_BYTES),
+        }
     }
 
     /// Executes one gather event: the layer-sliced collective, the model
-    /// write, and the traffic/residency accounting.
+    /// write, and the traffic accounting.
     fn gather_layer(
-        &mut self,
+        &self,
+        shard: &mut ShardPlacement,
         model: &mut impl Model,
         layer: usize,
         recv_bytes: u64,
-        span_name: &'static str,
         tracer: &Tracer,
     ) -> Result<(), FaultError> {
         let range = self.plan.layers()[layer].clone();
-        let _g = tracer.span(&self.track, span_name);
+        let _g = tracer.span(&shard.track, names::PARAM_ALLGATHER);
         let vals =
-            self.comm
-                .try_all_gather_slice(&self.shard_f32, range.clone(), self.plan.total)?;
+            shard
+                .comm
+                .try_all_gather_slice(&shard.shard_f32, range.clone(), self.plan.total)?;
         model.load_param_range(range, &vals);
-        tracer.add(&self.track, names::PARAM_TRAFFIC_BYTES, recv_bytes);
+        tracer.add(&shard.track, names::PARAM_TRAFFIC_BYTES, recv_bytes);
         Ok(())
     }
 
-    /// The step-boundary sequence shared by publish and skip: copy the
-    /// owned shard back from p16 (the PCIe h2d leg), refresh the cache
-    /// from the new shards, and zero every non-cached non-owned piece so
-    /// the inter-step model provably holds no full replica.
-    fn publish_boundary(
+    /// Cold start (and post-restore): empties the cache, loads the fp16
+    /// view of the owned shard into the model and zeroes everything else.
+    /// Performs no collectives — the next pre-forward schedule
+    /// materialises what compute needs, and re-gathers are
+    /// value-idempotent, so a cold resume continues bit-identically.
+    pub(crate) fn reset(
         &mut self,
+        shard: &mut ShardPlacement,
+        model: &mut impl Model,
+        p16: &[F16],
+    ) {
+        self.cache = Zero3Cache::new();
+        shard.widen(p16);
+        let own = shard.range.clone();
+        if own.start > 0 {
+            model.clear_param_range(0..own.start);
+        }
+        if own.end < self.plan.total {
+            model.clear_param_range(own.end..self.plan.total);
+        }
+        model.load_param_range(own, &shard.shard_f32);
+    }
+
+    /// Runs one micro-batch's gather/release schedule ahead of compute
+    /// (gated by the `collective.param_allgather` / `param.release`
+    /// fault sites).
+    pub(crate) fn pre_forward(
+        &mut self,
+        shard: &mut ShardPlacement,
+        model: &mut impl Model,
+        p16: &[F16],
+        tracer: &Tracer,
+    ) -> Result<(), FaultError> {
+        shard.widen(p16);
+        let events = self.plan.micro_batch_events(&mut self.cache);
+        // The replay above advanced the cache's high-water mark through
+        // every in-flight transient; the gauge mirrors that exact peak.
+        tracer.gauge_max(&self.gauge, self.cache.peak_bytes as f64);
+        for ev in events {
+            match ev {
+                Zero3Event::Gather { layer, recv_bytes } => {
+                    self.gather_layer(shard, model, layer, recv_bytes, tracer)?;
+                }
+                Zero3Event::Hit { .. } => {}
+                Zero3Event::Release { layer, .. } => {
+                    let range = self.plan.layers()[layer].clone();
+                    let _r = tracer.span(&shard.track, names::PARAM_RELEASE);
+                    shard.comm.try_release_slice(range, self.plan.total)?;
+                    tracer.add(&shard.track, names::PARAM_RELEASE, 1);
+                }
+                Zero3Event::Refresh { .. } => unreachable!("refresh is a publish event"),
+            }
+        }
+        Ok(())
+    }
+
+    /// The step-boundary sequence, on applied and skipped steps alike:
+    /// copy the owned shard back from p16 (the PCIe h2d leg), refresh the
+    /// cache from the new shards, and zero every non-cached non-owned
+    /// piece so the inter-step model provably holds no full replica.
+    pub(crate) fn publish_boundary(
+        &mut self,
+        shard: &mut ShardPlacement,
         model: &mut impl Model,
         p16: &[F16],
         stats: &mut EngineStats,
         tracer: &Tracer,
     ) -> Result<(), FaultError> {
-        self.widen_shard(p16);
-        let own = self.plan.owned_range();
-        model.load_param_range(own.clone(), &self.shard_f32);
+        shard.widen(p16);
+        model.load_param_range(shard.range.clone(), &shard.shard_f32);
         stats.h2d_bytes += 2 * p16.len() as u64;
-        tracer.add(&self.track, "h2d_bytes", 2 * p16.len() as u64);
+        tracer.add(&shard.track, "h2d_bytes", 2 * p16.len() as u64);
         for ev in self.plan.publish_events(&self.cache) {
             if let Zero3Event::Refresh { layer, recv_bytes } = ev {
-                self.gather_layer(model, layer, recv_bytes, names::PARAM_ALLGATHER, tracer)?;
+                self.gather_layer(shard, model, layer, recv_bytes, tracer)?;
             }
         }
         // Physically drop everything the schedule released: gathers are
         // value-idempotent, so zeroing after compute (rather than at the
         // release event mid-schedule) changes no numerics — but it makes
         // "no resident replica between steps" a checkable model state.
-        let cached: Vec<usize> = self.cache.cached_layers().to_vec();
+        let cached = self.cache.cached_layers();
         for l in 0..self.plan.layers().len() {
             if cached.contains(&l) {
                 continue;
@@ -391,303 +457,12 @@ impl Zero3Placement {
     }
 }
 
-impl<M: Model> Placement<M> for Zero3Placement {
-    fn fwd_track(&self) -> &str {
-        &self.track
-    }
-
-    fn counter_track(&self) -> &str {
-        &self.track
-    }
-
-    fn pre_forward(
-        &mut self,
-        model: &mut M,
-        p16: &[F16],
-        _stats: &mut EngineStats,
-        tracer: &Tracer,
-    ) -> Result<(), FaultError> {
-        self.widen_shard(p16);
-        let events = self.plan.micro_batch_events(&mut self.cache);
-        // The replay above advanced the cache's high-water mark through
-        // every in-flight transient; the gauge mirrors that exact peak.
-        tracer.gauge_max(&self.gauge, self.cache.peak_bytes as f64);
-        for ev in events {
-            match ev {
-                Zero3Event::Gather { layer, recv_bytes } => {
-                    self.gather_layer(model, layer, recv_bytes, names::PARAM_ALLGATHER, tracer)?;
-                }
-                Zero3Event::Hit { .. } => {}
-                Zero3Event::Release { layer, freed_bytes } => {
-                    let range = self.plan.layers()[layer].clone();
-                    let _r = tracer.span(&self.track, names::PARAM_RELEASE);
-                    self.comm.try_release_slice(range, self.plan.total)?;
-                    tracer.add(&self.track, names::PARAM_RELEASE, 1);
-                    let _ = freed_bytes;
-                }
-                Zero3Event::Refresh { .. } => unreachable!("refresh is a publish event"),
-            }
-        }
-        Ok(())
-    }
-
-    fn transfer(
-        &mut self,
-        model: &mut M,
-        grads: &mut [f32],
-        scale: f32,
-        denom: f32,
-        _stream: &mut GradStream,
-        stats: &mut EngineStats,
-        tracer: &Tracer,
-        faults: &mut FaultSession,
-    ) -> Result<bool, FaultError> {
-        // Identical to ZeRO-2: reduce-scatter the averaged gradients so
-        // this rank receives exactly its owned shard.
-        {
-            let _rs = tracer.span(&self.track, "reduce_scatter");
-            model.copy_grads_to(&mut self.full_grads);
-            let shard = self.comm.try_reduce_scatter_mean(&self.full_grads)?;
-            grads.copy_from_slice(&shard);
-        }
-        with_retry(faults, Site::WireD2h, tracer, &self.track, || ())?;
-        let overflow = roundtrip_grads(grads, denom, scale, &mut self.wire32, &mut self.wire16);
-        stats.d2h_bytes += 2 * grads.len() as u64;
-        tracer.add(&self.track, "d2h_bytes", 2 * grads.len() as u64);
-        Ok(overflow)
-    }
-
-    fn combine_overflow(&mut self, local: bool) -> bool {
-        let mut flag = vec![if local { 1.0f32 } else { 0.0 }];
-        self.comm.all_reduce_sum(&mut flag);
-        flag[0] > 0.0
-    }
-
-    fn clip_grads(&mut self, _grads: &mut [f32], _max_norm: f64) {
-        // Like ZeRO-2: a faithful global-norm clip needs another
-        // collective over the shards; the sharded engines do not clip.
-    }
-
-    fn update_span(&self) -> (&str, &str) {
-        (&self.track, "partition_update")
-    }
-
-    fn publish(
-        &mut self,
-        model: &mut M,
-        p16: &[F16],
-        stats: &mut EngineStats,
-        tracer: &Tracer,
-        _faults: &mut FaultSession,
-    ) -> Result<(), FaultError> {
-        self.publish_boundary(model, p16, stats, tracer)
-    }
-
-    fn on_skip(
-        &mut self,
-        model: &mut M,
-        p16: &[F16],
-        stats: &mut EngineStats,
-        tracer: &Tracer,
-    ) -> Result<(), FaultError> {
-        // Parameters unchanged, but ranks must run the same collective
-        // sequence to stay in lock-step — and the boundary invariant
-        // (shard + cache only) must hold after skipped steps too.
-        self.publish_boundary(model, p16, stats, tracer)
-    }
-
-    fn closes_step(&self) -> bool {
-        self.comm.rank() == 0
-    }
-}
-
-/// One data-parallel rank of a ZeRO-3 (parameter-partitioned) + offload
-/// training group.
-pub struct Zero3OffloadEngine<M: Model> {
-    model: M,
-    pipe: StepPipeline,
-    placement: Zero3Placement,
-    /// Inert: the sharded path transfers via reduce-scatter.
-    stream: GradStream,
-}
-
-impl<M: Model> Zero3OffloadEngine<M> {
-    /// Wraps one rank's model. All ranks must construct
-    /// identically-initialized models (same seed).
-    ///
-    /// Construction performs *no* collectives: the model is reduced to
-    /// the fp16 view of the owned shard (everything else zeroed), and the
-    /// first step's pre-forward schedule materialises what compute needs.
-    pub fn new(mut model: M, cfg: ZeroOffloadConfig, comm: Communicator) -> Zero3OffloadEngine<M> {
-        let n = model.num_params();
-        let range = partition_range(n, comm.world(), comm.rank());
-        let mut full = vec![0.0f32; n];
-        model.copy_params_to(&mut full);
-        let master = full[range.clone()].to_vec();
-        let shard_len = master.len();
-        let tracer = resolve_tracer(cfg.tracer);
-        let track = format!("rank{}", comm.rank());
-        let updater = build_offload_updater(&cfg, &master, &tracer, &format!("{track}_optimizer"));
-        let mut p16 = vec![F16::ZERO; shard_len];
-        cast_f32_to_f16(&master, &mut p16);
-        let plan = resolve_fault_plan(cfg.faults);
-        let z3 = Zero3Plan::new(
-            model.layer_ranges(),
-            n,
-            comm.world(),
-            comm.rank(),
-            cfg.prefetch_layers,
-            cfg.persistent_param_bytes,
-        );
-        let gauge = format!("{}.rank{}", names::PARAM_HWM_BYTES, comm.rank());
-        if plan.is_enabled() {
-            comm.install_faults(
-                FaultSession::new(plan.clone(), lane::COLLECTIVE),
-                tracer.clone(),
-                &track,
-            );
-        }
-        let placement = Zero3Placement {
-            comm,
-            plan: z3,
-            cache: Zero3Cache::new(),
-            track,
-            gauge,
-            full_grads: vec![0.0f32; n],
-            shard_f32: Vec::new(),
-            wire16: Vec::new(),
-            wire32: Vec::new(),
-        };
-        let pipe = StepPipeline {
-            master,
-            p16,
-            grads: vec![0.0f32; shard_len],
-            updater,
-            scaler: DynamicLossScaler::new(cfg.loss_scale),
-            micro_in_window: 0,
-            stats: EngineStats::default(),
-            tracer,
-            grad_accumulation: cfg.grad_accumulation,
-            max_grad_norm: 0.0,
-            pool_base: zo_tensor::pool::global().stats(),
-            // Shared lane ENGINE, like ZeRO-2: lock-step SPMD execution
-            // makes identical per-rank fault decisions, so fatal faults
-            // error everywhere before the next barrier.
-            faults: FaultSession::new(plan, lane::ENGINE),
-            overflow_storm_limit: cfg.overflow_storm_limit,
-        };
-        let mut engine = Zero3OffloadEngine {
-            model,
-            pipe,
-            placement,
-            stream: GradStream::inert(),
-        };
-        engine.reset_model_to_shard();
-        engine
-    }
-
-    /// Loads the fp16 view of the owned shard into the model and zeroes
-    /// everything else — the cold-start (and post-restore) model state.
-    fn reset_model_to_shard(&mut self) {
-        self.placement.widen_shard(&self.pipe.p16);
-        let own = self.placement.plan.owned_range();
-        if own.start > 0 {
-            self.model.clear_param_range(0..own.start);
-        }
-        let n = self.placement.plan.total;
-        if own.end < n {
-            self.model.clear_param_range(own.end..n);
-        }
-        let shard = self.placement.shard_f32.clone();
-        self.model.load_param_range(own, &shard);
-    }
-
-    /// This rank.
-    pub fn rank(&self) -> usize {
-        self.placement.comm.rank()
-    }
-
-    /// Group size.
-    pub fn world(&self) -> usize {
-        self.placement.comm.world()
-    }
-
-    /// Cumulative counters for this rank.
-    pub fn stats(&self) -> &EngineStats {
-        &self.pipe.stats
-    }
-
-    /// The wrapped model.
-    pub fn model(&self) -> &M {
-        &self.model
-    }
-
-    /// Mutable access to the wrapped model.
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
-    }
-
-    /// This rank's fp32 master shard.
-    pub fn master_shard(&self) -> &[f32] {
-        &self.pipe.master
-    }
-
-    /// Flat-parameter range owned by this rank.
-    pub fn shard_range(&self) -> core::ops::Range<usize> {
-        self.placement.plan.owned_range()
-    }
-
-    /// The rank's gather/release schedule model (replayable by tests).
-    pub fn plan(&self) -> &Zero3Plan {
-        &self.placement.plan
-    }
-
-    /// The live persistent-parameters cache state.
-    pub fn cache(&self) -> &Zero3Cache {
-        &self.placement.cache
-    }
-
-    /// One micro-batch; at window boundaries, the partitioned update.
-    ///
-    /// All ranks must call `step` the same number of times (collectives
-    /// synchronize them).
-    pub fn step<E>(
-        &mut self,
-        run_backward: impl FnOnce(&mut M) -> Result<f32, E>,
-    ) -> Result<StepOutcome, StepError<E>> {
-        self.pipe.step(
-            &mut self.model,
-            &mut self.placement,
-            &mut self.stream,
-            |m, _| run_backward(m),
-        )
-    }
-
-    /// Captures this rank's training state (shard-sized: master, moments,
-    /// scaler, DPU clock, counters). Every rank checkpoints its own
-    /// shard; restoring all shards restores the run.
-    pub fn save_checkpoint(&self) -> TrainingCheckpoint {
-        self.pipe.capture_state()
-    }
-
-    /// Restores a checkpoint saved by the same rank of an identically
-    /// configured group. The cache restarts cold — re-gathers are
-    /// value-idempotent, so a cold resume continues the trajectory
-    /// bit-identically.
-    pub fn restore_checkpoint(&mut self, ckpt: &TrainingCheckpoint) -> Result<(), CheckpointError> {
-        self.pipe.restore_state(ckpt)?;
-        self.placement.cache = Zero3Cache::new();
-        self.reset_model_to_shard();
-        Ok(())
-    }
-}
-
-/// Runs `world` stage-3 ranks on threads; `body` receives each rank's
-/// engine. Returns each rank's output in rank order.
+/// Runs `world` stage-3 ranks; `body` receives each rank's engine.
+/// Returns each rank's output in rank order.
 ///
 /// # Panics
 ///
-/// Propagates panics from worker threads.
+/// Propagates panics from the ranks.
 pub fn run_zero3_ranks<M, T, F>(
     world: usize,
     cfg: ZeroOffloadConfig,
@@ -697,26 +472,14 @@ pub fn run_zero3_ranks<M, T, F>(
 where
     M: Model + Send,
     T: Send,
-    F: Fn(&mut Zero3OffloadEngine<M>) -> T + Send + Sync,
+    F: Fn(&mut ZeroOffloadEngine<M>) -> T + Send + Sync,
 {
-    let comms = Communicator::group(world);
-    std::thread::scope(|scope| {
-        let body = &body;
-        let make_model = &make_model;
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|comm| {
-                scope.spawn(move || {
-                    let rank = comm.rank();
-                    let mut engine = Zero3OffloadEngine::new(make_model(rank), cfg, comm);
-                    body(&mut engine)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rank panicked"))
-            .collect()
+    on_ranks(Communicator::group(world), |comm| {
+        body(&mut ZeroOffloadEngine::zero3(
+            make_model(comm.rank()),
+            cfg,
+            comm,
+        ))
     })
 }
 
@@ -900,7 +663,7 @@ mod tests {
                         .unwrap();
                 }
                 (
-                    engine.cache().cached_layers().len(),
+                    engine.zero3_cache().unwrap().cached_layers().len(),
                     engine.model_mut().num_layer_buckets(),
                 )
             },

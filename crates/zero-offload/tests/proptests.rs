@@ -366,7 +366,7 @@ proptest! {
                         losses.push(out.loss().to_bits());
                     }
                     let shard: Vec<u32> =
-                        engine.master_shard().iter().map(|v| v.to_bits()).collect();
+                        engine.master_params().iter().map(|v| v.to_bits()).collect();
                     (shard, losses)
                 },
             )

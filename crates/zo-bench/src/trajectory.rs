@@ -152,7 +152,7 @@ pub fn run_zero3(steps: usize, tier: TierKind) -> TrajectoryRun {
                 times.push(t0.elapsed().as_secs_f64() * 1e3);
                 losses.push(out.loss());
             }
-            (losses, engine.master_shard().to_vec(), times)
+            (losses, engine.master_params().to_vec(), times)
         },
     );
     let mut hash = Fnv::new();

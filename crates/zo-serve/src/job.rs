@@ -1,12 +1,11 @@
-//! One job's runtime: engines of any stage, its data stream, its
-//! checkpoint directory, and its quarantine/restart state machine.
+//! One job's runtime: one engine per rank (any stage), its data stream,
+//! its checkpoint directory, and its quarantine/restart state machine.
 
 use std::path::{Path, PathBuf};
 
 use zero_offload::{
     decode_checkpoint_bytes, encode_checkpoint_bytes, CheckpointError, DpuCheckpoint, FaultsRef,
-    StepError, TracerRef, TrainingCheckpoint, Zero2OffloadEngine, Zero3OffloadEngine,
-    ZeroOffloadConfig, ZeroOffloadEngine,
+    StepError, TracerRef, TrainingCheckpoint, ZeroOffloadConfig, ZeroOffloadEngine,
 };
 use zo_collectives::Communicator;
 use zo_fault::FaultPlan;
@@ -93,17 +92,10 @@ pub struct JobReport {
     pub resumed_from: Option<usize>,
 }
 
-/// The job's engines: one per rank, all holding the same trait surface
-/// through stage-specific types.
-enum Engines {
-    Single(Box<ZeroOffloadEngine<GptModel>>),
-    Zero2(Vec<Zero2OffloadEngine<GptModel>>),
-    Zero3(Vec<Zero3OffloadEngine<GptModel>>),
-}
-
 pub(crate) struct JobRuntime {
     pub(crate) spec: JobSpec,
-    engines: Engines,
+    /// One engine per rank, in rank order (one entry for `single`).
+    engines: Vec<ZeroOffloadEngine<GptModel>>,
     data: BigramLm,
     /// Steps applied so far in the *current* engine incarnation's
     /// trajectory (equals `losses.len()`).
@@ -180,7 +172,7 @@ impl JobRuntime {
         // Crash-resume: a fresh service finding checkpoints from a prior
         // incarnation of this job continues where it left off.
         if let Some(k) = job.latest_checkpoint_step() {
-            job.restore_from_checkpoint(k, job.cfg)?;
+            job.restore_from_checkpoint(k)?;
         }
         Ok(job)
     }
@@ -228,7 +220,7 @@ impl JobRuntime {
         self.engines = build_engines(&self.spec, cfg);
         self.cfg = cfg;
         if resume > 0 {
-            if let Err(e) = self.restore_from_checkpoint(resume, cfg) {
+            if let Err(e) = self.restore_from_checkpoint(resume) {
                 self.state = JobState::Failed {
                     reason: format!("{reason}; restore failed: {e}"),
                 };
@@ -242,11 +234,7 @@ impl JobRuntime {
 
     /// Restores engines from the step-`k` checkpoint set and rewinds the
     /// data stream and loss log to step `k`.
-    fn restore_from_checkpoint(
-        &mut self,
-        k: usize,
-        cfg: ZeroOffloadConfig,
-    ) -> Result<(), JobError> {
+    fn restore_from_checkpoint(&mut self, k: usize) -> Result<(), JobError> {
         let dir = self
             .ckpt_dir
             .clone()
@@ -261,7 +249,6 @@ impl JobRuntime {
         restore_engines(&mut self.engines, &ckpts)?;
         self.reset_data_stream(k);
         self.last_ckpt = Some(k);
-        let _ = cfg; // engines were already built under `cfg`
         Ok(())
     }
 
@@ -290,8 +277,8 @@ impl JobRuntime {
             return Ok(());
         };
         let k = self.steps_done;
-        for (r, ckpt) in save_engines(&self.engines).into_iter().enumerate() {
-            let bytes = encode_checkpoint_bytes(&ckpt);
+        for (r, engine) in self.engines.iter().enumerate() {
+            let bytes = encode_checkpoint_bytes(&engine.save_checkpoint());
             std::fs::write(ckpt_path(&dir, k, r), bytes)
                 .map_err(|e| JobError::Io(e.to_string()))?;
         }
@@ -351,7 +338,7 @@ impl JobRuntime {
             return Ok(());
         }
         // Snapshot every rank's shard, concatenate to the full state.
-        let shards = save_engines(&self.engines);
+        let shards: Vec<_> = self.engines.iter().map(|e| e.save_checkpoint()).collect();
         let full = concat_checkpoints(&shards)?;
         // Rebuild the engines at the new world size and deal the full
         // state back out along the new partition.
@@ -364,7 +351,11 @@ impl JobRuntime {
 
     /// Final account (valid at any point; fingerprint covers steps so far).
     pub(crate) fn report(&self) -> JobReport {
-        let master = full_master(&self.engines);
+        let master: Vec<f32> = self
+            .engines
+            .iter()
+            .flat_map(|e| e.master_params().iter().copied())
+            .collect();
         JobReport {
             name: self.spec.name.clone(),
             state: self.state.clone(),
@@ -382,99 +373,71 @@ fn ckpt_path(dir: &Path, step: usize, rank: usize) -> PathBuf {
     dir.join(format!("step{step:06}.rank{rank}.ckpt"))
 }
 
-/// Builds the engines for `spec`. Multi-rank stages construct
+/// Builds the engines for `spec`, one per rank. Ranks construct
 /// concurrently — ZeRO-2's constructor performs its initial all-gather.
-fn build_engines(spec: &JobSpec, cfg: ZeroOffloadConfig) -> Engines {
-    let model = |_rank: usize| GptModel::new(spec.model, spec.model_seed);
+fn build_engines(spec: &JobSpec, cfg: ZeroOffloadConfig) -> Vec<ZeroOffloadEngine<GptModel>> {
+    let model = || GptModel::new(spec.model, spec.model_seed);
     match spec.stage {
-        StageSpec::Single => Engines::Single(Box::new(ZeroOffloadEngine::new(model(0), cfg))),
-        StageSpec::Zero2 { world } => Engines::Zero2(build_ranks(world, |comm| {
-            Zero2OffloadEngine::new(model(comm.rank()), cfg, comm)
-        })),
-        StageSpec::Zero3 { world } => Engines::Zero3(build_ranks(world, |comm| {
-            Zero3OffloadEngine::new(model(comm.rank()), cfg, comm)
-        })),
+        StageSpec::Single => vec![ZeroOffloadEngine::new(model(), cfg)],
+        StageSpec::Zero2 { world } => on_ranks(Communicator::group(world), |comm| {
+            ZeroOffloadEngine::zero2(model(), cfg, comm)
+        }),
+        StageSpec::Zero3 { world } => on_ranks(Communicator::group(world), |comm| {
+            ZeroOffloadEngine::zero3(model(), cfg, comm)
+        }),
     }
 }
 
-/// Runs one constructor per rank on its own thread (constructors may
-/// contain collectives, which block until every rank arrives).
-fn build_ranks<E: Send>(world: usize, make: impl Fn(Communicator) -> E + Send + Sync) -> Vec<E> {
-    let comms = Communicator::group(world);
+/// Runs `f` on every rank's item concurrently (collectives inside `f`
+/// block until every rank arrives) and returns the outputs in rank order.
+/// Rank 0 runs on the calling thread and only ranks `1..` are spawned, so
+/// a single-engine job never pays a thread spawn.
+fn on_ranks<I: Send, T: Send>(
+    items: impl IntoIterator<Item = I>,
+    f: impl Fn(I) -> T + Sync,
+) -> Vec<T> {
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else {
+        return Vec::new();
+    };
     std::thread::scope(|scope| {
-        let make = &make;
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|comm| scope.spawn(move || make(comm)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rank constructor panicked"))
-            .collect()
+        let f = &f;
+        let rest: Vec<_> = items.map(|item| scope.spawn(move || f(item))).collect();
+        let mut out = vec![f(first)];
+        out.extend(rest.into_iter().map(|h| h.join().expect("rank panicked")));
+        out
     })
 }
 
 /// One optimizer step across all ranks; returns rank 0's loss.
 ///
-/// Ranks step concurrently on scoped threads (collectives synchronize
-/// them). Engine fault lanes are deterministic per *session*, counting
-/// draws per (lane, site) — never global time — so this job stepping in
-/// any interleaving with neighbors draws the same fault sequence.
+/// Every stage steps through `step_streamed`: a single engine overlaps
+/// its gradient offload with backward, while ZeRO-2/3 ranks never arm
+/// the stream and reduce-scatter post hoc, bit-identical to `step`.
+/// Engine fault lanes are deterministic per *session*, counting draws
+/// per (lane, site) — never global time — so this job stepping in any
+/// interleaving with neighbors draws the same fault sequence.
 fn step_engines(
-    engines: &mut Engines,
+    engines: &mut [ZeroOffloadEngine<GptModel>],
     spec: &JobSpec,
     inputs: &[usize],
     targets: &[usize],
 ) -> Result<f32, String> {
+    let world = engines.len();
     let seq = spec.model.seq_len;
-    match engines {
-        Engines::Single(engine) => engine
-            .step_streamed(|m, s| m.train_step_hooked(inputs, targets, spec.batch, seq, s))
+    let results = on_ranks(engines.iter_mut().enumerate(), |(r, engine)| {
+        // Each rank's batch view: a `1/world` slice or the full replica.
+        let (i, t, n) = match spec.data {
+            DataMode::Replicated => (inputs, targets, spec.batch),
+            DataMode::Sliced => {
+                let per = spec.batch / world;
+                let span = r * per * seq..(r + 1) * per * seq;
+                (&inputs[span.clone()], &targets[span], per)
+            }
+        };
+        engine
+            .step_streamed(|m, s| m.train_step_hooked(i, t, n, seq, s))
             .map(|o| o.loss())
-            .map_err(describe_step_error),
-        Engines::Zero2(ranks) => step_ranks(ranks, spec, inputs, targets, |e, i, t, n| {
-            e.step(|m| m.train_step(i, t, n, seq, |_| {}))
-                .map(|o| o.loss())
-        }),
-        Engines::Zero3(ranks) => step_ranks(ranks, spec, inputs, targets, |e, i, t, n| {
-            e.step(|m| m.train_step(i, t, n, seq, |_| {}))
-                .map(|o| o.loss())
-        }),
-    }
-}
-
-/// Steps every rank concurrently, handing each its batch view (a
-/// `1/world` slice or the full replica), and returns rank 0's loss.
-fn step_ranks<E: Send, Err: Send>(
-    ranks: &mut [E],
-    spec: &JobSpec,
-    inputs: &[usize],
-    targets: &[usize],
-    step: impl Fn(&mut E, &[usize], &[usize], usize) -> Result<f32, StepError<Err>> + Send + Sync,
-) -> Result<f32, String> {
-    let world = ranks.len();
-    let seq = spec.model.seq_len;
-    let results: Vec<Result<f32, StepError<Err>>> = std::thread::scope(|scope| {
-        let step = &step;
-        let handles: Vec<_> = ranks
-            .iter_mut()
-            .enumerate()
-            .map(|(r, engine)| {
-                let (i, t, n) = match spec.data {
-                    DataMode::Replicated => (inputs, targets, spec.batch),
-                    DataMode::Sliced => {
-                        let per = spec.batch / world;
-                        let span = r * per * seq..(r + 1) * per * seq;
-                        (&inputs[span.clone()], &targets[span], per)
-                    }
-                };
-                scope.spawn(move || step(engine, i, t, n))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rank step panicked"))
-            .collect()
     });
     // Fatal faults fire on every rank in lock-step (shared engine lane /
     // communicator session); any rank's error fails the step.
@@ -499,41 +462,15 @@ fn describe_step_error<E>(e: StepError<E>) -> String {
     }
 }
 
-fn save_engines(engines: &Engines) -> Vec<TrainingCheckpoint> {
-    match engines {
-        Engines::Single(e) => vec![e.save_checkpoint()],
-        Engines::Zero2(ranks) => ranks.iter().map(|e| e.save_checkpoint()).collect(),
-        Engines::Zero3(ranks) => ranks.iter().map(|e| e.save_checkpoint()).collect(),
-    }
-}
-
 /// Restores each rank from its checkpoint, concurrently — ZeRO-2's
 /// restore ends in an all-gather, so ranks must restore in lock-step.
-fn restore_engines(engines: &mut Engines, ckpts: &[TrainingCheckpoint]) -> Result<(), JobError> {
-    match engines {
-        Engines::Single(e) => Ok(e.restore_checkpoint(&ckpts[0])?),
-        Engines::Zero2(ranks) => restore_ranks(ranks, ckpts, |e, c| e.restore_checkpoint(c)),
-        Engines::Zero3(ranks) => restore_ranks(ranks, ckpts, |e, c| e.restore_checkpoint(c)),
-    }
-}
-
-fn restore_ranks<E: Send>(
-    ranks: &mut [E],
+fn restore_engines(
+    engines: &mut [ZeroOffloadEngine<GptModel>],
     ckpts: &[TrainingCheckpoint],
-    restore: impl Fn(&mut E, &TrainingCheckpoint) -> Result<(), CheckpointError> + Send + Sync,
 ) -> Result<(), JobError> {
-    assert_eq!(ranks.len(), ckpts.len(), "one checkpoint per rank");
-    let results: Vec<Result<(), CheckpointError>> = std::thread::scope(|scope| {
-        let restore = &restore;
-        let handles: Vec<_> = ranks
-            .iter_mut()
-            .zip(ckpts)
-            .map(|(engine, ckpt)| scope.spawn(move || restore(engine, ckpt)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rank restore panicked"))
-            .collect()
+    assert_eq!(engines.len(), ckpts.len(), "one checkpoint per rank");
+    let results = on_ranks(engines.iter_mut().zip(ckpts), |(engine, ckpt)| {
+        engine.restore_checkpoint(ckpt)
     });
     for res in results {
         res?;
@@ -585,13 +522,9 @@ fn concat_checkpoints(shards: &[TrainingCheckpoint]) -> Result<TrainingCheckpoin
 /// partition (each rank takes its shard-sized slice in rank order).
 fn partition_checkpoint(
     full: &TrainingCheckpoint,
-    engines: &Engines,
+    engines: &[ZeroOffloadEngine<GptModel>],
 ) -> Result<Vec<TrainingCheckpoint>, JobError> {
-    let shard_lens: Vec<usize> = match engines {
-        Engines::Single(e) => vec![e.master_params().len()],
-        Engines::Zero2(ranks) => ranks.iter().map(|e| e.master_shard().len()).collect(),
-        Engines::Zero3(ranks) => ranks.iter().map(|e| e.master_shard().len()).collect(),
-    };
+    let shard_lens: Vec<usize> = engines.iter().map(|e| e.master_params().len()).collect();
     let total: usize = shard_lens.iter().sum();
     if total != full.master.len() {
         return Err(JobError::Checkpoint(CheckpointError::SizeMismatch {
@@ -618,19 +551,4 @@ fn partition_checkpoint(
         off += len;
     }
     Ok(parts)
-}
-
-/// The full fp32 master parameters: all shards concatenated in rank order.
-fn full_master(engines: &Engines) -> Vec<f32> {
-    match engines {
-        Engines::Single(e) => e.master_params().to_vec(),
-        Engines::Zero2(ranks) => ranks
-            .iter()
-            .flat_map(|e| e.master_shard().iter().copied())
-            .collect(),
-        Engines::Zero3(ranks) => ranks
-            .iter()
-            .flat_map(|e| e.master_shard().iter().copied())
-            .collect(),
-    }
 }

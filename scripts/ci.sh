@@ -39,6 +39,14 @@ leg_build_release() {
     cargo build --release -q --bin fingerprint --bin kernel_bench --bin criterion_report
 }
 
+# The benchmark under perfbench/ is its own cargo workspace built against
+# the crates' public APIs, so nothing else here compiles it. Build only:
+# a public-API change that breaks the benchmark must fail the gate, but
+# CI does not run the timed workloads.
+leg_perfbench_build() {
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
+}
+
 leg_test_debug() {
     echo "   ZO_THREADS=1"
     ZO_THREADS=1 cargo test -q
@@ -157,6 +165,7 @@ leg_criterion_artifact() {
 
 run_leg "cargo fmt / clippy / doc (warnings are errors)" leg_lint
 run_leg "cargo build --release (plus artifact binaries)" leg_build_release
+run_leg "benchmark build (perfbench/, build only)" leg_perfbench_build
 run_leg "cargo test (ZO_THREADS=1 and 4)" leg_test_debug
 run_leg "cargo test --release" leg_test_release
 run_leg "fault harness (unit tests + fault matrix, both presets)" leg_fault_harness

@@ -6,6 +6,7 @@
 //! enough to compare kernels locally without the real statistics engine.
 
 use std::fmt;
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// Top-level benchmark driver.
@@ -14,6 +15,8 @@ pub struct Criterion {
     sample_size: usize,
     measurement_time: Duration,
     warm_up_time: Duration,
+    quick: bool,
+    json_sink: Option<PathBuf>,
 }
 
 impl Default for Criterion {
@@ -22,6 +25,8 @@ impl Default for Criterion {
             sample_size: 10,
             measurement_time: Duration::from_millis(500),
             warm_up_time: Duration::from_millis(100),
+            quick: false,
+            json_sink: None,
         }
     }
 }
@@ -45,6 +50,38 @@ impl Criterion {
         self
     }
 
+    /// Quick mode clamps every benchmark to a few-millisecond sweep,
+    /// regardless of the other budget settings. CI uses it to emit the
+    /// persisted bench artifact without paying full measurement budgets.
+    pub fn quick_mode(mut self, on: bool) -> Self {
+        self.quick = on;
+        self
+    }
+
+    /// Appends one NDJSON record per finished bench to `path`;
+    /// `criterion_report` aggregates the lines into the validated
+    /// `BENCH_criterion.json` artifact. Append (not truncate) is
+    /// deliberate: one sweep spans several `cargo bench` processes.
+    pub fn json_sink(mut self, path: impl Into<PathBuf>) -> Self {
+        self.json_sink = Some(path.into());
+        self
+    }
+
+    /// Applies the bench binary's environment: `CRITERION_QUICK=1` turns
+    /// on [`quick_mode`](Criterion::quick_mode) and `CRITERION_JSON=path`
+    /// sets the [`json_sink`](Criterion::json_sink). Only the
+    /// [`criterion_group!`] entry point calls this; library code and
+    /// tests configure a `Criterion` explicitly.
+    pub fn configure_from_env(mut self) -> Self {
+        if std::env::var("CRITERION_QUICK").is_ok_and(|v| !v.is_empty() && v != "0") {
+            self.quick = true;
+        }
+        if let Some(path) = std::env::var_os("CRITERION_JSON").filter(|p| !p.is_empty()) {
+            self.json_sink = Some(path.into());
+        }
+        self
+    }
+
     /// Starts a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
@@ -60,7 +97,7 @@ impl Criterion {
         F: FnMut(&mut Bencher),
     {
         let stats = run_bench(self, &mut f);
-        report(&id.to_string(), &stats, None);
+        report(self, &id.to_string(), &stats, None);
         self
     }
 }
@@ -93,7 +130,8 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher, &I),
     {
         let stats = run_bench(self.criterion, &mut |b| f(b, input));
-        report(&format!("{}/{}", self.name, id), &stats, self.throughput);
+        let name = format!("{}/{}", self.name, id);
+        report(self.criterion, &name, &stats, self.throughput);
         self
     }
 
@@ -103,7 +141,8 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher),
     {
         let stats = run_bench(self.criterion, &mut f);
-        report(&format!("{}/{}", self.name, id), &stats, self.throughput);
+        let name = format!("{}/{}", self.name, id);
+        report(self.criterion, &name, &stats, self.throughput);
         self
     }
 
@@ -166,19 +205,13 @@ struct Stats {
     mean: Duration,
 }
 
-/// `CRITERION_QUICK=1` clamps every benchmark to a few-millisecond
-/// sweep, regardless of per-bench configuration. CI uses it to emit the
-/// persisted bench artifact without paying full measurement budgets.
-fn quick_mode() -> bool {
-    std::env::var("CRITERION_QUICK").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
 fn run_bench(criterion: &Criterion, f: &mut dyn FnMut(&mut Bencher)) -> Stats {
-    let criterion = if quick_mode() {
+    let criterion = if criterion.quick {
         Criterion {
             sample_size: criterion.sample_size.min(2),
             measurement_time: criterion.measurement_time.min(Duration::from_millis(30)),
             warm_up_time: criterion.warm_up_time.min(Duration::from_millis(5)),
+            ..Criterion::default()
         }
     } else {
         criterion.clone()
@@ -224,7 +257,7 @@ fn run_bench(criterion: &Criterion, f: &mut dyn FnMut(&mut Bencher)) -> Stats {
     }
 }
 
-fn report(name: &str, stats: &Stats, throughput: Option<Throughput>) {
+fn report(criterion: &Criterion, name: &str, stats: &Stats, throughput: Option<Throughput>) {
     let mean_ns = stats.mean.as_nanos() as f64;
     let rate = match throughput {
         Some(Throughput::Elements(n)) if mean_ns > 0.0 => {
@@ -239,20 +272,18 @@ fn report(name: &str, stats: &Stats, throughput: Option<Throughput>) {
         _ => String::new(),
     };
     println!("{name:<48} {:>12.3} us/iter{rate}", mean_ns / 1e3);
-    sink_json_line(name, mean_ns, throughput);
+    if let Some(path) = &criterion.json_sink {
+        sink_json_line(path, name, mean_ns, throughput);
+    }
 }
 
-/// `CRITERION_JSON=path` appends one NDJSON record per finished bench to
-/// `path`; `criterion_report` aggregates the lines into the validated
-/// `BENCH_criterion.json` artifact. Append (not truncate) is deliberate:
-/// one sweep spans several `cargo bench` processes.
-fn sink_json_line(name: &str, mean_ns: f64, throughput: Option<Throughput>) {
-    let Ok(path) = std::env::var("CRITERION_JSON") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
+/// Appends one NDJSON record for a finished bench to `path`.
+fn sink_json_line(
+    path: &std::path::Path,
+    name: &str,
+    mean_ns: f64,
+    throughput: Option<Throughput>,
+) {
     let (tp_kind, tp_per_iter) = match throughput {
         Some(Throughput::Elements(n)) => ("\"elements\"", n),
         Some(Throughput::Bytes(n)) => ("\"bytes\"", n),
@@ -266,10 +297,10 @@ fn sink_json_line(name: &str, mean_ns: f64, throughput: Option<Throughput>) {
     let written = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
-        .open(&path)
+        .open(path)
         .and_then(|mut f| f.write_all(line.as_bytes()));
     if let Err(e) = written {
-        eprintln!("criterion: failed appending to {path}: {e}");
+        eprintln!("criterion: failed appending to {}: {e}", path.display());
     }
 }
 
@@ -290,12 +321,14 @@ fn json_string(s: &str) -> String {
     out
 }
 
-/// Declares a benchmark group function.
+/// Declares a benchmark group function. The group's `config` is
+/// finished by [`Criterion::configure_from_env`], so a bench binary honors
+/// `CRITERION_QUICK` and `CRITERION_JSON`.
 #[macro_export]
 macro_rules! criterion_group {
     (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
         fn $name() {
-            let mut criterion: $crate::Criterion = $config;
+            let mut criterion: $crate::Criterion = ($config).configure_from_env();
             $($target(&mut criterion);)+
         }
     };
@@ -357,17 +390,15 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("criterion_sink_{}.ndjson", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        std::env::set_var("CRITERION_QUICK", "1");
-        std::env::set_var("CRITERION_JSON", &path);
         let mut c = Criterion::default()
             .sample_size(50)
             .measurement_time(Duration::from_secs(10))
-            .warm_up_time(Duration::from_secs(5));
+            .warm_up_time(Duration::from_secs(5))
+            .quick_mode(true)
+            .json_sink(&path);
         let t0 = Instant::now();
         trivial(&mut c);
         let elapsed = t0.elapsed();
-        std::env::remove_var("CRITERION_QUICK");
-        std::env::remove_var("CRITERION_JSON");
         assert!(
             elapsed < Duration::from_secs(5),
             "CRITERION_QUICK must clamp a 10s budget: took {elapsed:?}"

@@ -184,7 +184,7 @@ fn transient_collective_faults_leave_all_ranks_bit_identical() {
                             .loss(),
                     );
                 }
-                (losses, engine.master_shard().to_vec())
+                (losses, engine.master_params().to_vec())
             },
         );
         let clean = zero_offload::run_ranks(
@@ -206,7 +206,7 @@ fn transient_collective_faults_leave_all_ranks_bit_identical() {
                             .loss(),
                     );
                 }
-                (losses, engine.master_shard().to_vec())
+                (losses, engine.master_params().to_vec())
             },
         );
         assert_eq!(faulty, clean, "site {site}: sharded trajectory diverged");
@@ -349,7 +349,7 @@ fn zero3_run(engine_cfg: ZeroOffloadConfig) -> Vec<(Vec<f32>, Vec<f32>)> {
                         .loss(),
                 );
             }
-            (losses, engine.master_shard().to_vec())
+            (losses, engine.master_params().to_vec())
         },
     )
 }

@@ -8,7 +8,7 @@
 //! that shard). Each thread therefore holds 1/MP of the parameters and
 //! 1/(MP·DP) of the optimizer state — the paper's Fig. 4 placement.
 
-use zero_offload::{StepOutcome, Zero2OffloadEngine, ZeroOffloadConfig, ZeroOffloadEngine};
+use zero_offload::{StepOutcome, ZeroOffloadConfig, ZeroOffloadEngine};
 use zo_collectives::Communicator;
 use zo_nn::{Activation, ColumnParallelLinear, Linear, Model, ParamVisitor, RowParallelLinear};
 use zo_optim::{AdamParams, LossScaleConfig};
@@ -167,7 +167,7 @@ fn mp_times_dp_grid_matches_single_process() {
                 debug_assert_eq!(dp_comm.rank(), d);
                 handles.push(scope.spawn(move || {
                     let model = MpMlp::new(mp_comm);
-                    let mut engine = Zero2OffloadEngine::new(model, engine_cfg(), dp_comm);
+                    let mut engine = ZeroOffloadEngine::zero2(model, engine_cfg(), dp_comm);
                     for step in 0..STEPS {
                         let (x, t) = global_batch(step);
                         let (xs, ts) = (take_rows(&x, d), take_rows(&t, d));
@@ -176,7 +176,7 @@ fn mp_times_dp_grid_matches_single_process() {
                     }
                     let mut p = vec![0.0f32; engine.model_mut().num_params()];
                     engine.model_mut().copy_params_to(&mut p);
-                    (d, m, p, engine.master_shard().len())
+                    (d, m, p, engine.master_params().len())
                 }));
             }
         }

@@ -59,7 +59,7 @@ fn run_zero2() -> (Vec<f32>, usize) {
             let mut p = vec![0.0f32; engine.model_mut().num_params()];
             engine.model_mut().copy_params_to(&mut p);
             // Rank-held optimizer state: 12 bytes/param over the shard only.
-            (p, engine.master_shard().len())
+            (p, engine.master_params().len())
         },
     );
     let (params, shard_len) = out.remove(0);

@@ -104,7 +104,7 @@ fn stage3_trajectory_bit_identical_across_optimizer_threads() {
                         .step(|m| m.train_step(&inputs, &targets, 1, n, |_| {}))
                         .unwrap();
                 }
-                engine.master_shard().to_vec()
+                engine.master_params().to_vec()
             },
         )
     };

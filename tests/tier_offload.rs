@@ -85,7 +85,7 @@ fn zero3_run(engine_cfg: ZeroOffloadConfig) -> Vec<(Vec<f32>, Vec<f32>)> {
                         .loss(),
                 );
             }
-            (losses, engine.master_shard().to_vec())
+            (losses, engine.master_params().to_vec())
         },
     )
 }

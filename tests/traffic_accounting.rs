@@ -112,7 +112,7 @@ fn zero2_per_rank_traffic_is_4m_over_n_bytes() {
             }
             (
                 engine.model().num_params() as u64,
-                engine.master_shard().len() as u64,
+                engine.master_params().len() as u64,
                 tracer_ref.counter_on(&track, "d2h_bytes") - d2h0,
                 tracer_ref.counter_on(&track, "h2d_bytes") - h2d0,
             )

@@ -3,16 +3,18 @@
 //! ZeRO partitioning is pure systems restructuring — where data lives and
 //! when it moves — so the training trajectory must be *bitwise* identical
 //! to the less-partitioned stages on the same seeds. These tests pin
-//! that: ZeRO-3 vs ZeRO-2 at each world size, ZeRO-3 at world 1 vs the
-//! single-GPU engine, and a mid-run checkpoint/resume, all compared bit
-//! for bit over 24 optimizer steps.
+//! that: ZeRO-3 vs ZeRO-2 at each world size, both driven through
+//! `step_streamed` vs `step`, ZeRO-3 at world 1 vs the single-GPU engine,
+//! and a mid-run checkpoint/resume, all compared bit for bit over 24
+//! optimizer steps.
 //!
 //! (Engines at *different* world sizes are only close, not bitwise equal:
 //! per-rank partial sums change the fp32 summation order. Every pairing
 //! here keeps the world size fixed.)
 
 use zero_offload::{
-    run_ranks, run_zero3_ranks, TrainingCheckpoint, ZeroOffloadConfig, ZeroOffloadEngine,
+    run_ranks, run_zero3_ranks, EngineStats, TrainingCheckpoint, ZeroOffloadConfig,
+    ZeroOffloadEngine,
 };
 use zo_models::BigramLm;
 use zo_nn::{GptConfig, GptModel};
@@ -53,51 +55,66 @@ fn global_batch(step: usize, batch: usize) -> zo_models::LmBatch {
     b
 }
 
-/// Trains `steps` on `world` ZeRO-2 ranks; returns each rank's
-/// (shard range, master shard, per-step losses).
-type RankTrace = (core::ops::Range<usize>, Vec<f32>, Vec<f32>);
+/// How each rank drives its engine: post-hoc `step`, or `step_streamed`
+/// handing the gradient stream to the hooked backward.
+#[derive(Clone, Copy)]
+enum Drive {
+    PostHoc,
+    Streamed,
+}
 
-fn zero2_trace(world: usize, steps: usize) -> Vec<RankTrace> {
+/// One rank's (shard range, master shard, per-step losses, counters).
+type RankTrace = (core::ops::Range<usize>, Vec<f32>, Vec<f32>, EngineStats);
+
+fn train_rank(
+    engine: &mut ZeroOffloadEngine<GptModel>,
+    world: usize,
+    steps: usize,
+    drive: Drive,
+) -> RankTrace {
+    let mut losses = Vec::new();
+    for step in 0..steps {
+        let b = global_batch(step, world);
+        let r = engine.rank();
+        let inputs = b.inputs[r * 8..(r + 1) * 8].to_vec();
+        let targets = b.targets[r * 8..(r + 1) * 8].to_vec();
+        let out = match drive {
+            Drive::PostHoc => engine.step(|m| m.train_step(&inputs, &targets, 1, 8, |_| {})),
+            Drive::Streamed => {
+                engine.step_streamed(|m, s| m.train_step_hooked(&inputs, &targets, 1, 8, s))
+            }
+        };
+        losses.push(out.unwrap().loss());
+    }
+    (
+        engine.shard_range(),
+        engine.master_params().to_vec(),
+        losses,
+        *engine.stats(),
+    )
+}
+
+/// Trains `steps` on `world` ZeRO-2 ranks.
+fn zero2_trace(world: usize, steps: usize, drive: Drive) -> Vec<RankTrace> {
     run_ranks(
         world,
         cfg(),
         |_| GptModel::new(GPT, MODEL_SEED),
-        move |engine| {
-            let mut losses = Vec::new();
-            for step in 0..steps {
-                let b = global_batch(step, world);
-                let r = engine.rank();
-                let inputs = b.inputs[r * 8..(r + 1) * 8].to_vec();
-                let targets = b.targets[r * 8..(r + 1) * 8].to_vec();
-                let out = engine
-                    .step(|m| m.train_step(&inputs, &targets, 1, 8, |_| {}))
-                    .unwrap();
-                losses.push(out.loss());
-            }
-            (engine.shard_range(), engine.master_shard().to_vec(), losses)
-        },
+        move |engine| train_rank(engine, world, steps, drive),
     )
 }
 
-fn zero3_trace(world: usize, steps: usize, engine_cfg: ZeroOffloadConfig) -> Vec<RankTrace> {
+fn zero3_trace(
+    world: usize,
+    steps: usize,
+    engine_cfg: ZeroOffloadConfig,
+    drive: Drive,
+) -> Vec<RankTrace> {
     run_zero3_ranks(
         world,
         engine_cfg,
         |_| GptModel::new(GPT, MODEL_SEED),
-        move |engine| {
-            let mut losses = Vec::new();
-            for step in 0..steps {
-                let b = global_batch(step, world);
-                let r = engine.rank();
-                let inputs = b.inputs[r * 8..(r + 1) * 8].to_vec();
-                let targets = b.targets[r * 8..(r + 1) * 8].to_vec();
-                let out = engine
-                    .step(|m| m.train_step(&inputs, &targets, 1, 8, |_| {}))
-                    .unwrap();
-                losses.push(out.loss());
-            }
-            (engine.shard_range(), engine.master_shard().to_vec(), losses)
-        },
+        move |engine| train_rank(engine, world, steps, drive),
     )
 }
 
@@ -120,8 +137,8 @@ fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) {
 #[test]
 fn stage3_matches_zero2_bitwise_at_each_world() {
     for world in [1usize, 2, 4] {
-        let z2 = zero2_trace(world, STEPS);
-        let z3 = zero3_trace(world, STEPS, cfg());
+        let z2 = zero2_trace(world, STEPS, Drive::PostHoc);
+        let z3 = zero3_trace(world, STEPS, cfg(), Drive::PostHoc);
         for rank in 0..world {
             assert_eq!(z2[rank].0, z3[rank].0, "world {world} rank {rank} range");
             assert_bits_eq(
@@ -135,6 +152,33 @@ fn stage3_matches_zero2_bitwise_at_each_world() {
                 &format!("world {world} rank {rank} losses"),
             );
         }
+        // Through `step_streamed` the sharded placements never arm the
+        // gradient stream (reduce-scatter cannot consume it), so the step
+        // is bit-equal to `step`, counters included.
+        let streamed = [
+            ("zero2", &z2, zero2_trace(world, STEPS, Drive::Streamed)),
+            (
+                "zero3",
+                &z3,
+                zero3_trace(world, STEPS, cfg(), Drive::Streamed),
+            ),
+        ];
+        for (stage, post_hoc, streamed) in &streamed {
+            for rank in 0..world {
+                let what = format!("{stage} world {world} rank {rank} streamed");
+                assert_bits_eq(
+                    &post_hoc[rank].1,
+                    &streamed[rank].1,
+                    &format!("{what} master"),
+                );
+                assert_bits_eq(
+                    &post_hoc[rank].2,
+                    &streamed[rank].2,
+                    &format!("{what} losses"),
+                );
+                assert_eq!(post_hoc[rank].3, streamed[rank].3, "{what} stats");
+            }
+        }
     }
 }
 
@@ -142,14 +186,14 @@ fn stage3_matches_zero2_bitwise_at_each_world() {
 /// redundant ones — they must never change a bit of the trajectory.
 #[test]
 fn cache_and_prefetch_knobs_do_not_perturb_the_trajectory() {
-    let base = zero3_trace(2, STEPS, cfg());
+    let base = zero3_trace(2, STEPS, cfg(), Drive::PostHoc);
     for (prefetch, budget) in [(0usize, 0usize), (3, 0), (1, usize::MAX), (3, 200)] {
         let knobs = ZeroOffloadConfig {
             prefetch_layers: prefetch,
             persistent_param_bytes: budget,
             ..cfg()
         };
-        let got = zero3_trace(2, STEPS, knobs);
+        let got = zero3_trace(2, STEPS, knobs, Drive::PostHoc);
         for rank in 0..2 {
             assert_bits_eq(
                 &base[rank].1,
@@ -170,7 +214,7 @@ fn cache_and_prefetch_knobs_do_not_perturb_the_trajectory() {
 /// bitwise on the same full batches.
 #[test]
 fn stage3_at_world_one_matches_single_gpu() {
-    let z3 = zero3_trace(1, STEPS, cfg());
+    let z3 = zero3_trace(1, STEPS, cfg(), Drive::PostHoc);
 
     let mut single = ZeroOffloadEngine::new(GptModel::new(GPT, MODEL_SEED), cfg());
     let mut losses = Vec::new();
@@ -197,7 +241,7 @@ fn mid_run_checkpoint_resume_is_bitwise() {
     const SPLIT: usize = 10;
 
     // Uninterrupted reference.
-    let straight = zero3_trace(WORLD, STEPS, cfg());
+    let straight = zero3_trace(WORLD, STEPS, cfg(), Drive::PostHoc);
 
     // First half: train to the split, checkpoint, keep training.
     let halves: Vec<(TrainingCheckpoint, Vec<f32>, Vec<f32>)> = run_zero3_ranks(
@@ -231,7 +275,7 @@ fn mid_run_checkpoint_resume_is_bitwise() {
                         .loss(),
                 );
             }
-            (ckpt, engine.master_shard().to_vec(), losses)
+            (ckpt, engine.master_params().to_vec(), losses)
         },
     );
 
@@ -273,7 +317,7 @@ fn mid_run_checkpoint_resume_is_bitwise() {
                         .loss(),
                 );
             }
-            (engine.master_shard().to_vec(), losses)
+            (engine.master_params().to_vec(), losses)
         },
     );
 
@@ -299,8 +343,8 @@ fn dpu_composes_with_stage3() {
         dpu_warmup: Some(3),
         ..cfg()
     };
-    let a = zero3_trace(2, 10, dpu_cfg);
-    let b = zero3_trace(2, 10, dpu_cfg);
+    let a = zero3_trace(2, 10, dpu_cfg, Drive::PostHoc);
+    let b = zero3_trace(2, 10, dpu_cfg, Drive::PostHoc);
     for rank in 0..2 {
         assert_bits_eq(&a[rank].1, &b[rank].1, &format!("dpu rank {rank} shard"));
     }

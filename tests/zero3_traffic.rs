@@ -70,9 +70,9 @@ fn train(
             }
             (
                 engine.model().num_params() as u64,
-                engine.master_shard().len() as u64,
+                engine.master_params().len() as u64,
                 engine.model_mut().layer_ranges(),
-                engine.cache().peak_bytes(),
+                engine.zero3_cache().unwrap().peak_bytes(),
             )
         },
     )
