@@ -6,21 +6,33 @@
 //! is by construction sufficient to resume: the fp16 device parameters are
 //! a pure function of the master copy (`float2half`).
 //!
-//! The on-disk file format frames the JSON payload with a validated
-//! header (`magic | version | payload length | FNV-1a checksum`), so a
-//! write that died partway — e.g. under an injected `checkpoint.write`
-//! fault — is *detected* at restore time as a typed error instead of a
-//! deserializer panic or, worse, a silently-wrong resume.
+//! The on-disk file frames a binary payload with a validated header
+//! (`magic | version | payload length | FNV-1a checksum`), so a write
+//! that died partway — e.g. under an injected `checkpoint.write` fault —
+//! is *detected* at restore time as a typed error instead of a decoder
+//! panic or, worse, a silently-wrong resume. The payload (version 2) is a
+//! fixed [`PAYLOAD_HEADER_BYTES`]-byte header followed by the fp32
+//! sections, all little-endian:
+//!
+//! ```text
+//! params u64 | adam_step u64 | scale f32 | good_steps u32
+//!   | steps_applied u64 | steps_skipped u64 | dpu_flags u32 | steps_seen u64
+//! master[params] | m[params] | v[params] | pending[params] (if flagged)
+//! ```
+//!
+//! so a file is exactly `framing::HEADER_BYTES + PAYLOAD_HEADER_BYTES +
+//! 4 × (3 or 4) × params` bytes.
 
-use serde::{Deserialize, Serialize};
 use zo_nn::Model;
 use zo_optim::AdamState;
 
 use crate::engine::ZeroOffloadEngine;
-use crate::framing::{decode_frame, encode_frame, FrameError, FrameSpec};
+use crate::framing::{
+    decode_frame, encode_frame, get_f32_sections, put_f32_sections, FrameError, FrameSpec,
+};
 
-/// Serializable snapshot of a training run.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+/// Snapshot of a training run.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingCheckpoint {
     /// fp32 master parameters.
     pub master: Vec<f32>,
@@ -37,7 +49,7 @@ pub struct TrainingCheckpoint {
 }
 
 /// DPU portion of a checkpoint.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DpuCheckpoint {
     /// Steps the DPU wrapper has observed.
     pub steps_seen: u64,
@@ -83,7 +95,8 @@ pub enum CheckpointError {
         /// Checksum computed over the payload.
         computed: u32,
     },
-    /// The framing validated but the payload does not parse.
+    /// The framing validated but the payload does not decode (or the file
+    /// is a format version this build does not read).
     Malformed {
         /// Parser diagnostic.
         detail: String,
@@ -130,7 +143,7 @@ impl std::error::Error for CheckpointError {}
 pub const FILE_MAGIC: u32 = 0x5A4F_636B;
 
 /// Current checkpoint file format version.
-pub const FILE_VERSION: u32 = 1;
+pub const FILE_VERSION: u32 = 2;
 
 /// The checkpoint frame family (shared codec, checkpoint identity).
 const FILE_FRAME: FrameSpec = FrameSpec {
@@ -153,27 +166,115 @@ impl From<FrameError> for CheckpointError {
     }
 }
 
-/// Encodes a checkpoint into the framed on-disk byte format:
-/// `magic | version | payload_len | fnv1a(payload) | JSON payload`.
+/// Bytes of the fixed payload header that precedes the f32 sections.
+pub const PAYLOAD_HEADER_BYTES: usize = 8 + 8 + 4 + 4 + 8 + 8 + 4 + 8;
+
+/// `dpu_flags` bit: the checkpoint carries DPU state.
+const FLAG_DPU: u32 = 1;
+/// `dpu_flags` bit: the DPU state holds a pending gradient section.
+const FLAG_PENDING: u32 = 2;
+
+/// Encodes a checkpoint into the framed on-disk byte format (see the
+/// module docs for the layout).
+///
+/// # Panics
+///
+/// If the momentum, variance or pending gradient length differs from
+/// `master`'s: one parameter count sizes every section.
 pub fn encode_checkpoint_bytes(ckpt: &TrainingCheckpoint) -> Vec<u8> {
-    // Plain-old-data: serialization cannot fail.
-    let payload = serde_json::to_string(ckpt)
-        .expect("checkpoint serialization")
-        .into_bytes();
+    let n = ckpt.master.len();
+    let pending = ckpt.dpu.as_ref().and_then(|d| d.pending.as_deref());
+    let mut sections = vec![&ckpt.master[..], &ckpt.optim.m, &ckpt.optim.v];
+    sections.extend(pending);
+    assert!(
+        sections.iter().all(|s| s.len() == n),
+        "every checkpoint section must hold {n} values"
+    );
+    let flags = match &ckpt.dpu {
+        None => 0,
+        Some(d) if d.pending.is_none() => FLAG_DPU,
+        Some(_) => FLAG_DPU | FLAG_PENDING,
+    };
+    let mut payload = Vec::with_capacity(PAYLOAD_HEADER_BYTES + 4 * n * sections.len());
+    payload.extend_from_slice(&(n as u64).to_le_bytes());
+    payload.extend_from_slice(&ckpt.optim.step.to_le_bytes());
+    payload.extend_from_slice(&ckpt.loss_scale.0.to_le_bytes());
+    payload.extend_from_slice(&ckpt.loss_scale.1.to_le_bytes());
+    payload.extend_from_slice(&ckpt.steps_applied.to_le_bytes());
+    payload.extend_from_slice(&ckpt.steps_skipped.to_le_bytes());
+    payload.extend_from_slice(&flags.to_le_bytes());
+    let steps_seen = ckpt.dpu.as_ref().map_or(0, |d| d.steps_seen);
+    payload.extend_from_slice(&steps_seen.to_le_bytes());
+    put_f32_sections(&mut payload, &sections);
     encode_frame(FILE_FRAME, &payload)
 }
 
 /// Decodes a framed checkpoint, validating magic, version, length and
-/// checksum before the payload is handed to the deserializer — a torn or
-/// bit-flipped file surfaces as a typed [`CheckpointError`], never a
-/// panic.
+/// checksum, then the payload header against the section bytes present,
+/// before allocating any state — a torn, bit-flipped or inconsistent file
+/// surfaces as a typed [`CheckpointError`], never a panic.
 pub fn decode_checkpoint_bytes(bytes: &[u8]) -> Result<TrainingCheckpoint, CheckpointError> {
     let payload = decode_frame(FILE_FRAME, bytes)?;
-    let text = core::str::from_utf8(payload).map_err(|e| CheckpointError::Malformed {
-        detail: e.to_string(),
-    })?;
-    serde_json::from_str(text).map_err(|e| CheckpointError::Malformed {
-        detail: e.to_string(),
+    let malformed = |detail: String| CheckpointError::Malformed { detail };
+    if payload.len() < PAYLOAD_HEADER_BYTES {
+        return Err(malformed(format!(
+            "payload holds {} bytes, less than its {PAYLOAD_HEADER_BYTES}-byte header",
+            payload.len()
+        )));
+    }
+    let (mut head, body) = payload.split_at(PAYLOAD_HEADER_BYTES);
+    let mut word = |width: usize| {
+        let (w, rest) = head.split_at(width);
+        head = rest;
+        let mut le = [0u8; 8];
+        le[..width].copy_from_slice(w);
+        u64::from_le_bytes(le)
+    };
+    let params = word(8);
+    let adam_step = word(8);
+    let scale = f32::from_bits(word(4) as u32);
+    let good_steps = word(4) as u32;
+    let steps_applied = word(8);
+    let steps_skipped = word(8);
+    let flags = word(4) as u32;
+    let steps_seen = word(8);
+    if ![0, FLAG_DPU, FLAG_DPU | FLAG_PENDING].contains(&flags) {
+        return Err(malformed(format!("unknown DPU flags {flags:#x}")));
+    }
+    if flags == 0 && steps_seen != 0 {
+        return Err(malformed(format!(
+            "{steps_seen} DPU steps seen without DPU state"
+        )));
+    }
+    let sections = if flags & FLAG_PENDING != 0 { 4 } else { 3 };
+    let n = usize::try_from(params)
+        .ok()
+        .filter(|n| n.checked_mul(4 * sections) == Some(body.len()))
+        .ok_or_else(|| {
+            malformed(format!(
+                "{params} parameters in {sections} sections do not fit the {}-byte body",
+                body.len()
+            ))
+        })?;
+    let (mut master, mut m, mut v) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    let mut pending = (sections == 4).then(|| vec![0.0; n]);
+    let mut dst: Vec<&mut [f32]> = vec![&mut master, &mut m, &mut v];
+    dst.extend(pending.as_deref_mut());
+    get_f32_sections(body, &mut dst).map_err(|e| malformed(e.to_string()))?;
+    Ok(TrainingCheckpoint {
+        master,
+        optim: AdamState {
+            m,
+            v,
+            step: adam_step,
+        },
+        loss_scale: (scale, good_steps),
+        dpu: (flags & FLAG_DPU != 0).then_some(DpuCheckpoint {
+            steps_seen,
+            pending,
+        }),
+        steps_applied,
+        steps_skipped,
     })
 }
 
@@ -199,19 +300,6 @@ impl<M: Model> ZeroOffloadEngine<M> {
         self.placement
             .load(&mut self.model, &pipe.p16, &mut pipe.stats, &pipe.tracer)
             .map_err(CheckpointError::Fault)
-    }
-
-    /// Serializes the checkpoint as JSON.
-    pub fn checkpoint_json(&self) -> String {
-        // Plain-old-data: serialization cannot fail.
-        serde_json::to_string(&self.save_checkpoint()).expect("checkpoint serialization")
-    }
-
-    /// Restores from [`ZeroOffloadEngine::checkpoint_json`] output.
-    pub fn restore_json(&mut self, json: &str) -> Result<(), Box<dyn std::error::Error>> {
-        let ckpt: TrainingCheckpoint = serde_json::from_str(json)?;
-        self.restore_checkpoint(&ckpt)?;
-        Ok(())
     }
 
     /// Writes the framed checkpoint file at `path`.
@@ -324,17 +412,6 @@ mod tests {
 
         assert_eq!(&losses_all[10..], &losses_tail[..]);
         assert_eq!(continuous.master_params(), resumed.master_params());
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let mut engine = ZeroOffloadEngine::new(GptModel::new(GPT, 1), cfg());
-        run(&mut engine, 0, 3);
-        let json = engine.checkpoint_json();
-        let mut other = ZeroOffloadEngine::new(GptModel::new(GPT, 2), cfg());
-        other.restore_json(&json).unwrap();
-        assert_eq!(engine.master_params(), other.master_params());
-        assert_eq!(engine.loss_scale(), other.loss_scale());
     }
 
     #[test]
@@ -452,6 +529,22 @@ mod tests {
     fn foreign_file_rejected_by_magic() {
         let err = super::decode_checkpoint_bytes(b"definitely not a checkpoint").unwrap_err();
         assert!(matches!(err, super::CheckpointError::BadMagic { .. }));
+    }
+
+    #[test]
+    fn version_1_file_is_unsupported() {
+        let v1 = crate::framing::FrameSpec {
+            magic: super::FILE_MAGIC,
+            version: 1,
+        };
+        let bytes = crate::framing::encode_frame(v1, br#"{"master":[]}"#);
+        let err = super::decode_checkpoint_bytes(&bytes).unwrap_err();
+        assert_eq!(
+            err,
+            super::CheckpointError::Malformed {
+                detail: "unsupported checkpoint version 1".into()
+            }
+        );
     }
 
     #[test]

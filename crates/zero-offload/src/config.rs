@@ -1,7 +1,7 @@
 //! Engine configuration (the analog of the DeepSpeed JSON config).
 
-use serde::{Deserialize, Serialize};
 use zo_optim::{AdamParams, LossScaleConfig};
+use zo_trace::json::{self, Value};
 
 use crate::tier::TierKind;
 
@@ -23,7 +23,7 @@ use crate::tier::TierKind;
 /// };
 /// assert!(cfg.tracer.unwrap().resolve().is_some());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TracerRef(pub usize);
 
 impl TracerRef {
@@ -59,7 +59,7 @@ pub(crate) fn resolve_tracer(tracer: Option<TracerRef>) -> zo_trace::Tracer {
 /// };
 /// assert!(cfg.faults.unwrap().resolve().is_some());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultsRef(pub usize);
 
 impl FaultsRef {
@@ -84,7 +84,7 @@ pub(crate) fn resolve_fault_plan(faults: Option<FaultsRef>) -> std::sync::Arc<zo
 }
 
 /// Where the optimizer states and step live.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OffloadDevice {
     /// No offload: everything on the accelerator (baseline behaviour).
     None,
@@ -94,7 +94,7 @@ pub enum OffloadDevice {
 
 /// Configuration for [`ZeroOffloadEngine`](crate::ZeroOffloadEngine), at every stage.
 ///
-/// Deserializable from JSON with every field optional (the DeepSpeed
+/// Readable from JSON with every field optional (the DeepSpeed
 /// `ds_config.json` usability model — paper Fig. 1):
 ///
 /// ```
@@ -104,8 +104,7 @@ pub enum OffloadDevice {
 /// assert_eq!(cfg.dpu_warmup, Some(40));
 /// assert_eq!(cfg.grad_accumulation, 1); // defaulted
 /// ```
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-#[serde(default)]
+#[derive(Debug, Clone, Copy)]
 pub struct ZeroOffloadConfig {
     /// Offload target.
     pub offload: OffloadDevice,
@@ -192,16 +191,178 @@ impl Default for ZeroOffloadConfig {
     }
 }
 
-impl ZeroOffloadConfig {
-    /// Parses a JSON config; absent fields take their defaults.
-    pub fn from_json(json: &str) -> Result<ZeroOffloadConfig, serde_json::Error> {
-        serde_json::from_str(json)
+/// Why a JSON config was rejected.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ConfigError {
+    /// The text is not JSON.
+    Json(json::Error),
+    /// A key that names no config field (`adam.lr2` for a nested one).
+    UnknownKey(String),
+    /// A field whose value has the wrong type or range.
+    BadValue {
+        /// The field's key, dotted for nested ones.
+        key: String,
+        /// What the field accepts.
+        expected: &'static str,
+    },
+}
+
+impl core::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            ConfigError::Json(e) => e.fmt(f),
+            ConfigError::UnknownKey(key) => write!(f, "unknown config key \"{key}\""),
+            ConfigError::BadValue { key, expected } if key.is_empty() => {
+                write!(f, "config expects {expected}")
+            }
+            ConfigError::BadValue { key, expected } => {
+                write!(f, "config key \"{key}\" expects {expected}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+impl From<json::Error> for ConfigError {
+    fn from(e: json::Error) -> ConfigError {
+        ConfigError::Json(e)
+    }
+}
+
+/// One `key: value` entry of a config object, keyed by its dotted path.
+struct Field<'a> {
+    name: &'a str,
+    key: String,
+    value: &'a Value,
+}
+
+impl<'a> Field<'a> {
+    /// The entries of `value`, which must be an object, under `prefix`.
+    fn entries(value: &'a Value, prefix: &str) -> Result<Vec<Field<'a>>, ConfigError> {
+        let entries = value.as_object().ok_or_else(|| ConfigError::BadValue {
+            key: prefix.trim_end_matches('.').to_string(),
+            expected: "an object",
+        })?;
+        Ok(entries
+            .iter()
+            .map(|(name, value)| Field {
+                name,
+                key: format!("{prefix}{name}"),
+                value,
+            })
+            .collect())
     }
 
-    /// Serializes the full config as pretty JSON.
-    pub fn to_json(&self) -> String {
-        // Plain-old-data: serialization cannot fail.
-        serde_json::to_string_pretty(self).expect("config serialization")
+    fn bad(&self, expected: &'static str) -> ConfigError {
+        ConfigError::BadValue {
+            key: self.key.clone(),
+            expected,
+        }
+    }
+
+    fn unknown(&self) -> ConfigError {
+        ConfigError::UnknownKey(self.key.clone())
+    }
+
+    fn num(&self) -> Result<f64, ConfigError> {
+        self.value.as_f64().ok_or_else(|| self.bad("a number"))
+    }
+
+    fn int<T: TryFrom<u64>>(&self) -> Result<T, ConfigError> {
+        self.value
+            .as_u64()
+            .and_then(|n| T::try_from(n).ok())
+            .ok_or_else(|| self.bad("a non-negative integer in range"))
+    }
+
+    fn bool(&self) -> Result<bool, ConfigError> {
+        self.value
+            .as_bool()
+            .ok_or_else(|| self.bad("true or false"))
+    }
+
+    fn variant<T: Copy>(
+        &self,
+        variants: &[(&str, T)],
+        expected: &'static str,
+    ) -> Result<T, ConfigError> {
+        variants
+            .iter()
+            .find(|(name, _)| Some(*name) == self.value.as_str())
+            .map(|&(_, v)| v)
+            .ok_or_else(|| self.bad(expected))
+    }
+}
+
+fn read_adam(value: &Value, adam: &mut AdamParams) -> Result<(), ConfigError> {
+    for f in Field::entries(value, "adam.")? {
+        match f.name {
+            "lr" => adam.lr = f.num()? as f32,
+            "beta1" => adam.beta1 = f.num()? as f32,
+            "beta2" => adam.beta2 = f.num()? as f32,
+            "eps" => adam.eps = f.num()? as f32,
+            "weight_decay" => adam.weight_decay = f.num()? as f32,
+            "decoupled_weight_decay" => adam.decoupled_weight_decay = f.bool()?,
+            _ => return Err(f.unknown()),
+        }
+    }
+    Ok(())
+}
+
+fn read_loss_scale(value: &Value, ls: &mut LossScaleConfig) -> Result<(), ConfigError> {
+    for f in Field::entries(value, "loss_scale.")? {
+        match f.name {
+            "init_scale" => ls.init_scale = f.num()? as f32,
+            "growth_factor" => ls.growth_factor = f.num()? as f32,
+            "backoff_factor" => ls.backoff_factor = f.num()? as f32,
+            "growth_interval" => ls.growth_interval = f.int()?,
+            "min_scale" => ls.min_scale = f.num()? as f32,
+            _ => return Err(f.unknown()),
+        }
+    }
+    Ok(())
+}
+
+impl ZeroOffloadConfig {
+    /// Parses a JSON config. Absent fields, nested ones included, take
+    /// their defaults; an unknown key is an error that names it. The
+    /// `tracer` and `faults` handles index the in-process registries, so
+    /// a file cannot set them.
+    pub fn from_json(text: &str) -> Result<ZeroOffloadConfig, ConfigError> {
+        let doc = json::parse(text)?;
+        let mut cfg = ZeroOffloadConfig::default();
+        for f in Field::entries(&doc, "")? {
+            match f.name {
+                "offload" => {
+                    cfg.offload = f.variant(
+                        &[("None", OffloadDevice::None), ("Cpu", OffloadDevice::Cpu)],
+                        "\"None\" or \"Cpu\"",
+                    )?
+                }
+                "adam" => read_adam(f.value, &mut cfg.adam)?,
+                "dpu_warmup" if f.value.is_null() => cfg.dpu_warmup = None,
+                "dpu_warmup" => cfg.dpu_warmup = Some(f.int()?),
+                "loss_scale" => read_loss_scale(f.value, &mut cfg.loss_scale)?,
+                "max_grad_norm" => cfg.max_grad_norm = f.num()?,
+                "grad_accumulation" => cfg.grad_accumulation = f.int()?,
+                "optimizer_threads" => cfg.optimizer_threads = f.int()?,
+                "tile_width" => cfg.tile_width = f.int()?,
+                "bucket_bytes" => cfg.bucket_bytes = f.int()?,
+                "overflow_storm_limit" => cfg.overflow_storm_limit = f.int()?,
+                "prefetch_layers" => cfg.prefetch_layers = f.int()?,
+                "persistent_param_bytes" => cfg.persistent_param_bytes = f.int()?,
+                "optimizer_tier" => {
+                    cfg.optimizer_tier = f.variant(
+                        &[("Dram", TierKind::Dram), ("Nvme", TierKind::Nvme)],
+                        "\"Dram\" or \"Nvme\"",
+                    )?
+                }
+                "tier_scratch_bytes" => cfg.tier_scratch_bytes = f.int()?,
+                _ => return Err(f.unknown()),
+            }
+        }
+        Ok(cfg)
     }
 
     /// Enables DPU with the paper's 40-step warm-up.
@@ -235,10 +396,54 @@ mod tests {
 
     #[test]
     fn json_roundtrip_and_partial_parse() {
-        let cfg = ZeroOffloadConfig::default().with_dpu();
-        let back = ZeroOffloadConfig::from_json(&cfg.to_json()).unwrap();
-        assert_eq!(back.dpu_warmup, Some(40));
-        assert_eq!(back.grad_accumulation, cfg.grad_accumulation);
+        // Every field a file can set reads back into the struct.
+        let full = ZeroOffloadConfig::from_json(
+            r#"{"offload": "Cpu", "dpu_warmup": 40, "max_grad_norm": 1.5,
+                "adam": {"lr": 0.01, "beta1": 0.8, "beta2": 0.99, "eps": 1e-6,
+                         "weight_decay": 0.1, "decoupled_weight_decay": true},
+                "loss_scale": {"init_scale": 128.0, "growth_factor": 4.0,
+                               "backoff_factor": 0.25, "growth_interval": 10, "min_scale": 2.0},
+                "grad_accumulation": 2, "optimizer_threads": 3, "tile_width": 64,
+                "bucket_bytes": 4096, "overflow_storm_limit": 5, "prefetch_layers": 0,
+                "persistent_param_bytes": 8, "optimizer_tier": "Nvme",
+                "tier_scratch_bytes": 1024}"#,
+        )
+        .unwrap();
+        assert_eq!(full.dpu_warmup, Some(40));
+        assert_eq!(full.max_grad_norm, 1.5);
+        assert_eq!(
+            full.adam,
+            AdamParams {
+                lr: 0.01,
+                beta1: 0.8,
+                beta2: 0.99,
+                eps: 1e-6,
+                weight_decay: 0.1,
+                decoupled_weight_decay: true
+            }
+        );
+        assert_eq!(
+            full.loss_scale,
+            LossScaleConfig {
+                init_scale: 128.0,
+                growth_factor: 4.0,
+                backoff_factor: 0.25,
+                growth_interval: 10,
+                min_scale: 2.0
+            }
+        );
+        assert_eq!(
+            (
+                full.grad_accumulation,
+                full.optimizer_threads,
+                full.tile_width
+            ),
+            (2, 3, 64)
+        );
+        assert_eq!((full.bucket_bytes, full.overflow_storm_limit), (4096, 5));
+        assert_eq!((full.prefetch_layers, full.persistent_param_bytes), (0, 8));
+        assert_eq!(full.optimizer_tier, TierKind::Nvme);
+        assert_eq!(full.tier_scratch_bytes, 1024);
         // Partial config: unknown-but-valid subset with defaults.
         let partial =
             ZeroOffloadConfig::from_json(r#"{"offload": "None", "grad_accumulation": 8}"#).unwrap();
@@ -255,6 +460,33 @@ mod tests {
         assert_eq!(nested.loss_scale.init_scale, 128.0);
         // Malformed JSON is an error, not a default.
         assert!(ZeroOffloadConfig::from_json("{nope").is_err());
+        // A typo is an error that names the key, top-level or nested.
+        for (text, key) in [
+            (r#"{"dpu_warmpu": 40}"#, "dpu_warmpu"),
+            (r#"{"adam": {"lr2": 0.1}}"#, "adam.lr2"),
+            (r#"{"loss_scale": {"init": 1}}"#, "loss_scale.init"),
+            (r#"{"tracer": 0}"#, "tracer"),
+        ] {
+            let err = ZeroOffloadConfig::from_json(text).unwrap_err();
+            assert_eq!(err, ConfigError::UnknownKey(key.into()));
+            assert!(err.to_string().contains(key), "{err}");
+        }
+        // Wrong types are errors too.
+        for bad in [
+            r#"{"grad_accumulation": -1}"#,
+            r#"{"grad_accumulation": 1.5}"#,
+            r#"{"offload": "Gpu"}"#,
+            r#"{"adam": 1}"#,
+            r#"[]"#,
+        ] {
+            assert!(
+                matches!(
+                    ZeroOffloadConfig::from_json(bad),
+                    Err(ConfigError::BadValue { .. })
+                ),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

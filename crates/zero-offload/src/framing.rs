@@ -13,6 +13,10 @@
 //! The codec is parameterized by a [`FrameSpec`] (magic + version), so
 //! each consumer keeps its own file identity while sharing one decoder —
 //! and one proptest suite — for the torn/corrupt/foreign cases.
+//!
+//! Both payloads are mostly fp32 state, which [`put_f32_sections`] and
+//! [`get_f32_sections`] store as back-to-back little-endian sections: a
+//! lossless byte image, so state read back is bit-identical.
 
 /// Frame header size: magic, version, payload length, checksum.
 pub const HEADER_BYTES: usize = 4 + 4 + 8 + 4;
@@ -134,6 +138,63 @@ pub fn decode_frame(spec: FrameSpec, bytes: &[u8]) -> Result<&[u8], FrameError> 
     Ok(payload)
 }
 
+/// The bytes do not hold exactly four per f32 the sections expect.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SectionLenError {
+    /// Bytes present.
+    pub have: usize,
+    /// Bytes the sections need.
+    pub need: usize,
+}
+
+impl core::fmt::Display for SectionLenError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(
+            f,
+            "f32 sections need {} bytes, payload holds {}",
+            self.need, self.have
+        )
+    }
+}
+
+impl std::error::Error for SectionLenError {}
+
+/// Appends each of `sections` to `out`, back to back, as little-endian
+/// f32s.
+pub fn put_f32_sections(out: &mut Vec<u8>, sections: &[&[f32]]) {
+    let total: usize = sections.iter().map(|s| s.len()).sum();
+    out.reserve(4 * total);
+    for series in sections {
+        let start = out.len();
+        out.resize(start + 4 * series.len(), 0);
+        for (dst, x) in out[start..].chunks_exact_mut(4).zip(series.iter()) {
+            dst.copy_from_slice(&x.to_le_bytes());
+        }
+    }
+}
+
+/// Inverse of [`put_f32_sections`]: fills each of `sections` in order
+/// from `bytes`, which must hold exactly four bytes per value. Nothing is
+/// written on a length mismatch.
+pub fn get_f32_sections(bytes: &[u8], sections: &mut [&mut [f32]]) -> Result<(), SectionLenError> {
+    let need = 4 * sections.iter().map(|s| s.len()).sum::<usize>();
+    if bytes.len() != need {
+        return Err(SectionLenError {
+            have: bytes.len(),
+            need,
+        });
+    }
+    let mut rest = bytes;
+    for series in sections.iter_mut() {
+        let (head, tail) = rest.split_at(4 * series.len());
+        for (x, src) in series.iter_mut().zip(head.chunks_exact(4)) {
+            *x = f32::from_le_bytes(src.try_into().expect("4 bytes"));
+        }
+        rest = tail;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,5 +264,24 @@ mod tests {
             decode_frame(SPEC, &blob),
             Err(FrameError::Corrupted { .. })
         ));
+    }
+
+    #[test]
+    fn f32_sections_roundtrip_bit_patterns() {
+        let a = [0.0f32, -0.0, f32::INFINITY, f32::NEG_INFINITY];
+        let b = [f32::from_bits(0x7fc0_0001), f32::MIN_POSITIVE, 1.5];
+        let mut bytes = vec![0xAA]; // appends after existing bytes
+        put_f32_sections(&mut bytes, &[&a, &b, &[]]);
+        assert_eq!(bytes.len(), 1 + 4 * 7);
+        assert_eq!(&bytes[1..5], &0.0f32.to_le_bytes());
+        let (mut a2, mut b2) = ([1.0f32; 4], [1.0f32; 3]);
+        get_f32_sections(&bytes[1..], &mut [&mut a2, &mut b2, &mut []]).unwrap();
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a2), bits(&a));
+        assert_eq!(bits(&b2), bits(&b));
+        assert_eq!(
+            get_f32_sections(&bytes, &mut [&mut a2, &mut b2]),
+            Err(SectionLenError { have: 29, need: 28 })
+        );
     }
 }

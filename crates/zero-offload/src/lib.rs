@@ -61,7 +61,7 @@ pub use checkpoint::{
     decode_checkpoint_bytes, encode_checkpoint_bytes, CheckpointError, DpuCheckpoint,
     TrainingCheckpoint,
 };
-pub use config::{FaultsRef, OffloadDevice, TracerRef, ZeroOffloadConfig};
+pub use config::{ConfigError, FaultsRef, OffloadDevice, TracerRef, ZeroOffloadConfig};
 pub use engine::{EngineStats, StepOutcome, ZeroOffloadEngine};
 pub use framing::{FrameError, FrameSpec};
 pub use overlap::{AsyncDpu, DpuUpdate};

@@ -35,14 +35,15 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use serde::{Deserialize, Serialize};
 use zo_fault::{with_retry, FaultError, FaultSession, Site};
 use zo_optim::{adam_range, AdamParams, AdamState};
 use zo_tensor::pool::Pool;
 use zo_tensor::{cast_f32_to_f16, F16};
 use zo_trace::{names, Tracer};
 
-use crate::framing::{decode_frame, encode_frame, FrameError, FrameSpec};
+use crate::framing::{
+    decode_frame, encode_frame, get_f32_sections, put_f32_sections, FrameError, FrameSpec,
+};
 
 /// Tier partition-blob magic: "ZOtr".
 pub const TIER_MAGIC: u32 = 0x5A4F_7472;
@@ -57,7 +58,7 @@ const TIER_FRAME: FrameSpec = FrameSpec {
 };
 
 /// Which memory tier holds the fp32 optimizer states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TierKind {
     /// Host DRAM, resident (the classic ZeRO-Offload placement).
     Dram,
@@ -334,44 +335,28 @@ impl TileSlot {
     }
 }
 
-/// Serializes a tile's fp32 triple into the partition payload layout:
+/// Encodes a tile's fp32 triple into the partition payload layout:
 /// `master ‖ m ‖ v`, little-endian — a lossless byte image, which is what
 /// makes the spilled trajectory bit-identical to the resident one.
 fn encode_payload(master: &[f32], m: &[f32], v: &[f32], out: &mut Vec<u8>) {
     out.clear();
-    out.reserve(PAYLOAD_BYTES_PER_ELEM * master.len());
-    for series in [master, m, v] {
-        for &x in series {
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-    }
+    put_f32_sections(out, &[master, m, v]);
 }
 
-/// Inverse of [`encode_payload`] for a tile of `len` elements.
+/// Inverse of [`encode_payload`]; the tile length is `master.len()`.
 fn decode_payload(
     payload: &[u8],
-    len: usize,
     master: &mut [f32],
     m: &mut [f32],
     v: &mut [f32],
 ) -> Result<(), TierError> {
-    if payload.len() != PAYLOAD_BYTES_PER_ELEM * len {
-        return Err(TierError::Malformed {
-            detail: format!(
-                "partition payload holds {} bytes, tile of {len} elements needs {}",
-                payload.len(),
-                PAYLOAD_BYTES_PER_ELEM * len
-            ),
-        });
-    }
-    for (series, at) in [(master, 0usize), (m, 1), (v, 2)] {
-        let base = at * 4 * len;
-        for (i, x) in series.iter_mut().enumerate().take(len) {
-            let b = base + 4 * i;
-            *x = f32::from_le_bytes(payload[b..b + 4].try_into().expect("4 bytes"));
-        }
-    }
-    Ok(())
+    let len = master.len();
+    get_f32_sections(payload, &mut [master, m, v]).map_err(|e| TierError::Malformed {
+        detail: format!(
+            "partition payload holds {} bytes, tile of {len} elements needs {}",
+            e.have, e.need
+        ),
+    })
 }
 
 /// The memory-centric tiled Adam update over a [`MemoryTier`].
@@ -474,7 +459,6 @@ impl TieredAdam {
             .expect("tier partition read");
         decode_payload(
             &slot.payload,
-            len,
             &mut slot.master[..len],
             &mut slot.m[..len],
             &mut slot.v[..len],
@@ -614,7 +598,6 @@ impl TieredAdam {
                 .expect("tier partition read for checkpoint");
             decode_payload(
                 &payload,
-                len,
                 &mut master[..len],
                 &mut state.m[r.start..r.end],
                 &mut state.v[r.start..r.end],
@@ -663,7 +646,7 @@ mod tests {
             tier.read_part(0, &mut back).unwrap();
             assert_eq!(back, payload, "{:?}", tier.kind());
             let (mut m2, mut mm2, mut v2) = (vec![0.0; 37], vec![0.0; 37], vec![0.0; 37]);
-            decode_payload(&back, 37, &mut m2, &mut mm2, &mut v2).unwrap();
+            decode_payload(&back, &mut m2, &mut mm2, &mut v2).unwrap();
             assert_eq!(m2, master);
             assert_eq!(mm2, m);
             assert_eq!(v2, v);

@@ -5,13 +5,58 @@
 //! bucketer's scatter/gather is lossless for any parameter count and
 //! bucket budget (including a ragged final bucket).
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
 use proptest::prelude::*;
 use zero_offload::bucket::{scatter_frames, GradBucketer};
+use zero_offload::checkpoint::{FILE_MAGIC, FILE_VERSION, PAYLOAD_HEADER_BYTES};
 use zero_offload::framing;
 use zero_offload::wire::{decode_frame, encode_frame, frame_bytes, WireError, HEADER_BYTES};
 use zero_offload::FrameError;
+use zero_offload::{
+    decode_checkpoint_bytes, encode_checkpoint_bytes, CheckpointError, DpuCheckpoint,
+    TrainingCheckpoint,
+};
 use zero_offload::{run_zero3_ranks, Zero3Cache, Zero3Event, Zero3Plan, ZeroOffloadConfig};
+use zo_optim::AdamState;
 use zo_tensor::F16;
+
+/// Records the largest single allocation the current thread makes, so a
+/// property can bound what a decoder allocates.
+struct LargestAlloc;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note_alloc(size: usize) {
+    let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// each call carries the caller's guarantees; the bookkeeping only touches a
+// `const`-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for LargestAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_alloc(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: LargestAlloc = LargestAlloc;
 
 fn f16_vec(max_len: usize) -> impl Strategy<Value = Vec<F16>> {
     prop::collection::vec(0u16..=u16::MAX, 0..max_len)
@@ -227,6 +272,143 @@ proptest! {
             let reframed = framing::encode_frame(spec, payload);
             prop_assert_eq!(framing::decode_frame(spec, &reframed).unwrap(), payload);
         }
+    }
+}
+
+/// f32s drawn from every bit pattern, with NaN, ±inf and −0.0 forced in
+/// often.
+fn f32_vec(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
+    prop::collection::vec((0u8..8, 0u32..=u32::MAX), 0..max_len).prop_map(|xs| {
+        xs.into_iter()
+            .map(|(pick, bits)| match pick {
+                0 => f32::NAN,
+                1 => f32::from_bits(0x7f80_0001), // signalling NaN
+                2 => -0.0,
+                3 => f32::INFINITY,
+                4 => f32::NEG_INFINITY,
+                _ => f32::from_bits(bits),
+            })
+            .collect()
+    })
+}
+
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// A checkpoint whose sections split `vals` four ways; `dpu` picks no DPU
+/// state, DPU without a pending gradient, or DPU with one.
+fn checkpoint_of(vals: &[f32], scalars: (u64, u32, u32, u64), dpu: u8) -> TrainingCheckpoint {
+    let n = vals.len() / 4;
+    let (step, scale_bits, good, counter) = scalars;
+    TrainingCheckpoint {
+        master: vals[..n].to_vec(),
+        optim: AdamState {
+            m: vals[n..2 * n].to_vec(),
+            v: vals[2 * n..3 * n].to_vec(),
+            step,
+        },
+        loss_scale: (f32::from_bits(scale_bits), good),
+        dpu: match dpu {
+            0 => None,
+            1 => Some(DpuCheckpoint {
+                steps_seen: counter ^ 0x5555,
+                pending: None,
+            }),
+            _ => Some(DpuCheckpoint {
+                steps_seen: counter ^ 0x5555,
+                pending: Some(vals[3 * n..4 * n].to_vec()),
+            }),
+        },
+        steps_applied: counter,
+        steps_skipped: counter.rotate_left(7),
+    }
+}
+
+proptest! {
+    /// Any checkpoint round-trips bit-exactly through the v2 file format,
+    /// and re-encoding the decoded checkpoint gives back the same bytes.
+    #[test]
+    fn checkpoint_roundtrip_is_bit_exact(
+        vals in f32_vec(160),
+        scalars in (0u64..=u64::MAX, 0u32..=u32::MAX, 0u32..=u32::MAX, 0u64..=u64::MAX),
+        dpu in 0u8..3,
+    ) {
+        let ckpt = checkpoint_of(&vals, scalars, dpu);
+        let bytes = encode_checkpoint_bytes(&ckpt);
+        let back = decode_checkpoint_bytes(&bytes).unwrap();
+        prop_assert_eq!(bits(&back.master), bits(&ckpt.master));
+        prop_assert_eq!(bits(&back.optim.m), bits(&ckpt.optim.m));
+        prop_assert_eq!(bits(&back.optim.v), bits(&ckpt.optim.v));
+        prop_assert_eq!(back.optim.step, ckpt.optim.step);
+        prop_assert_eq!(back.loss_scale.0.to_bits(), ckpt.loss_scale.0.to_bits());
+        prop_assert_eq!(back.loss_scale.1, ckpt.loss_scale.1);
+        prop_assert_eq!(back.steps_applied, ckpt.steps_applied);
+        prop_assert_eq!(back.steps_skipped, ckpt.steps_skipped);
+        let dpu_of = |c: &TrainingCheckpoint| {
+            c.dpu.as_ref().map(|d| (d.steps_seen, d.pending.as_deref().map(bits)))
+        };
+        prop_assert_eq!(dpu_of(&back), dpu_of(&ckpt));
+        prop_assert_eq!(encode_checkpoint_bytes(&back), bytes);
+    }
+
+    /// Arbitrary payload bytes in a valid frame (checksum recomputed, so
+    /// only the payload decoder stands in the way) decode to `Ok` or
+    /// `Malformed`: never a panic, and no allocation larger than the
+    /// payload. Half the cases carry a plausible header, with a body that
+    /// is sometimes exactly the size it declares.
+    #[test]
+    fn checkpoint_decode_of_framed_arbitrary_payload_is_typed(
+        tail in byte_vec(200),
+        fields in (0u64..=u64::MAX, 0u64..12, 0u32..5, 0u64..3),
+        header in any::<bool>(),
+        exact in any::<bool>(),
+    ) {
+        let (big, small, flags, seen) = fields;
+        let mut payload = Vec::new();
+        if header {
+            let params = if exact || big % 2 == 0 { small } else { big };
+            payload.extend_from_slice(&params.to_le_bytes());
+            // Adam step, loss scale, good steps, applied and skipped counters.
+            payload.extend(big.to_le_bytes().iter().cycle().take(PAYLOAD_HEADER_BYTES - 20));
+            payload.extend_from_slice(&flags.to_le_bytes());
+            payload.extend_from_slice(&seen.to_le_bytes());
+            let sections = if flags & 2 != 0 { 4 } else { 3 };
+            let body = if exact { 4 * sections * small as usize } else { tail.len() };
+            payload.extend((0..body).map(|i| tail.get(i % tail.len().max(1)).copied().unwrap_or(0)));
+        } else {
+            payload.extend_from_slice(&tail);
+        }
+        let spec = framing::FrameSpec { magic: FILE_MAGIC, version: FILE_VERSION };
+        let blob = framing::encode_frame(spec, &payload);
+        LARGEST.with(|l| l.set(0));
+        let decoded = decode_checkpoint_bytes(&blob);
+        let largest = LARGEST.with(|l| l.get());
+        prop_assert!(
+            largest <= payload.len().max(256),
+            "decoding a {}-byte payload allocated {} bytes at once", payload.len(), largest
+        );
+        match decoded {
+            Ok(ckpt) => prop_assert_eq!(encode_checkpoint_bytes(&ckpt), blob),
+            Err(CheckpointError::Malformed { .. }) => {}
+            Err(other) => prop_assert!(false, "expected Ok or Malformed, got {:?}", other),
+        }
+    }
+}
+
+#[test]
+fn checkpoint_file_is_headers_plus_four_bytes_per_f32() {
+    let vals: Vec<f32> = (0..20).map(|i| i as f32 * 0.5).collect();
+    for (dpu, sections) in [(0u8, 3usize), (1, 3), (2, 4)] {
+        let ckpt = checkpoint_of(&vals, (7, 0x4380_0000, 3, 11), dpu);
+        let bytes = encode_checkpoint_bytes(&ckpt);
+        assert_eq!(FILE_VERSION, 2);
+        assert_eq!(&bytes[4..8], &2u32.to_le_bytes());
+        assert_eq!(
+            bytes.len(),
+            framing::HEADER_BYTES + PAYLOAD_HEADER_BYTES + 4 * sections * 5,
+            "dpu case {dpu}"
+        );
     }
 }
 

@@ -12,7 +12,7 @@
 //!
 //! * `--json PATH` — run the benchmarks and write `BENCH_kernels.json`.
 //! * `--assert PATH` — do **not** run benchmarks; re-parse a previously
-//!   emitted artifact through the `serde_json` shim and fail unless every
+//!   emitted artifact through `zo_trace::json` and fail unless every
 //!   throughput field is finite and > 0. CI runs the emit step and then
 //!   the assert step, so a silently-empty artifact can never upload.
 //! * `--quick` — smoke-test sizes (seconds instead of minutes), for

@@ -29,8 +29,8 @@ pub fn parse_ndjson(text: &str) -> Result<Vec<BenchRecord>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let v: serde_json::Value = serde_json::from_str(line)
-            .map_err(|e| format!("line {}: does not parse: {e:?}", i + 1))?;
+        let v = zo_trace::json::parse(line)
+            .map_err(|e| format!("line {}: does not parse: {e}", i + 1))?;
         let name = v
             .get("name")
             .and_then(|n| n.as_str())
@@ -61,8 +61,8 @@ pub fn parse_ndjson(text: &str) -> Result<Vec<BenchRecord>, String> {
 
 /// Renders `BENCH_criterion.json` from the aggregated records. Flat
 /// hand-rendered JSON in the style of `BENCH_kernels.json`;
-/// `criterion_report --assert` re-parses it through the `serde_json`
-/// shim, so the two ends cross-check each other.
+/// `criterion_report --assert` re-parses it through
+/// [`zo_trace::json`], so the two ends cross-check each other.
 pub fn render_criterion_json(records: &[BenchRecord]) -> String {
     let mut s = String::new();
     s.push_str("{\n");
@@ -78,7 +78,7 @@ pub fn render_criterion_json(records: &[BenchRecord]) -> String {
         };
         s.push_str(&format!(
             "    {{\"name\": {}, \"mean_ns\": {:.1}{}}}{}\n",
-            json_string(&r.name),
+            zo_trace::json::quote(&r.name),
             r.mean_ns,
             tp,
             if i + 1 < records.len() { "," } else { "" }
@@ -89,28 +89,12 @@ pub fn render_criterion_json(records: &[BenchRecord]) -> String {
     s
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Validates an emitted `BENCH_criterion.json`: it must parse, carry the
 /// schema tag, at least one bench, unique non-empty names, and every
 /// `mean_ns` finite and strictly positive. Returns a description of the
 /// first problem found.
 pub fn validate_criterion_json(text: &str) -> Result<(), String> {
-    let v: serde_json::Value =
-        serde_json::from_str(text).map_err(|e| format!("JSON does not parse: {e:?}"))?;
+    let v = zo_trace::json::parse(text).map_err(|e| format!("JSON does not parse: {e}"))?;
     match v.get("schema").and_then(|s| s.as_str()) {
         Some("zo-criterion-bench/1") => {}
         Some(other) => return Err(format!("unexpected schema {other:?}")),

@@ -256,7 +256,7 @@ pub fn run_kernel_bench(quick: bool) -> KernelReport {
 impl KernelReport {
     /// Renders the `BENCH_kernels.json` artifact. Flat hand-rendered JSON
     /// in the style of `BENCH_fingerprint.json`; `kernel_bench --assert`
-    /// re-parses it through the `serde_json` shim, so the two ends
+    /// re-parses it through [`zo_trace::json`], so the two ends
     /// cross-check each other.
     pub fn render_json(&self) -> String {
         let mut s = String::new();
@@ -343,8 +343,7 @@ impl KernelReport {
 /// artifact recording perturbed numerics fails the assert step instead
 /// of uploading. Returns a description of the first problem found.
 pub fn validate_kernel_json(text: &str) -> Result<(), String> {
-    let v: serde_json::Value =
-        serde_json::from_str(text).map_err(|e| format!("JSON does not parse: {e:?}"))?;
+    let v = zo_trace::json::parse(text).map_err(|e| format!("JSON does not parse: {e}"))?;
     let fp = v
         .get("trajectory_fingerprint")
         .and_then(|f| f.as_str())
@@ -363,7 +362,7 @@ pub fn validate_kernel_json(text: &str) -> Result<(), String> {
         ));
     }
 
-    let positive = |val: Option<&serde_json::Value>, what: &str| -> Result<(), String> {
+    let positive = |val: Option<&zo_trace::json::Value>, what: &str| -> Result<(), String> {
         let x = val
             .and_then(|x| x.as_f64())
             .ok_or_else(|| format!("{what}: missing or non-numeric"))?;

@@ -9,12 +9,10 @@
 //! expectation, each failed attempt burning the transfer time it wasted
 //! plus a backoff pause.
 
-use serde::{Deserialize, Serialize};
-
 use crate::specs::LinkSpec;
 
 /// A link plus the transient-fault behaviour of its transport layer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultyLinkSpec {
     /// The underlying link.
     pub link: LinkSpec,

@@ -13,20 +13,18 @@
 //! (Sec. 5.1), and DPU overlapping the CPU step with the next
 //! forward+backward (Sec. 5.2).
 
-use serde::Serialize;
-
 use crate::error::SimError;
 
 /// Identifies a stream (an in-order hardware engine).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StreamId(pub usize);
 
 /// Identifies a submitted task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TaskId(pub usize);
 
 /// One scheduled work item in the completed simulation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ScheduledTask {
     /// The task id.
     pub id: TaskId,
@@ -167,7 +165,7 @@ impl Sim {
 }
 
 /// The completed schedule: every task with its start/finish times.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Timeline {
     streams: Vec<String>,
     tasks: Vec<ScheduledTask>,
@@ -224,12 +222,6 @@ impl Timeline {
     /// Stream names, indexed by [`StreamId`].
     pub fn stream_names(&self) -> &[String] {
         &self.streams
-    }
-
-    /// Serializes the timeline as pretty JSON (for trace inspection).
-    pub fn to_json(&self) -> String {
-        // Serialization of this plain data structure cannot fail.
-        serde_json::to_string_pretty(self).expect("timeline serialization")
     }
 
     /// Converts the schedule into plain [`zo_trace::TraceEvent`]s — the

@@ -4,13 +4,11 @@
 //! 8168, 1.5 TB DDR4, 32 GB/s bidirectional PCIe) plus the 8-node
 //! InfiniBand cluster used for the scalability experiment (Fig. 11).
 
-use serde::{Deserialize, Serialize};
-
 /// Gigabytes as bytes.
 pub const GIB: u64 = 1024 * 1024 * 1024;
 
 /// A GPU model: compute rates and memory capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuSpec {
     /// Device memory capacity in bytes.
     pub mem_bytes: u64,
@@ -51,7 +49,7 @@ impl GpuSpec {
 }
 
 /// A CPU socket-pair model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuSpec {
     /// Host memory capacity in bytes.
     pub mem_bytes: u64,
@@ -84,7 +82,7 @@ impl CpuSpec {
 }
 
 /// A point-to-point link (PCIe between one GPU and the host).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpec {
     /// Bandwidth per direction in GB/s.
     pub gbps_each_way: f64,
@@ -101,7 +99,7 @@ impl LinkSpec {
 
 /// An NVMe device attached to the host — the memory tier below DRAM
 /// (ZeRO-Infinity's direction: optimizer states stream from flash).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NvmeSpec {
     /// Capacity in bytes.
     pub capacity_bytes: u64,
@@ -133,7 +131,7 @@ impl NvmeSpec {
 }
 
 /// A multi-GPU node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeSpec {
     /// GPUs per node.
     pub gpus_per_node: u32,
@@ -150,7 +148,7 @@ pub struct NodeSpec {
 }
 
 /// A cluster of identical nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterSpec {
     /// Number of nodes.
     pub nodes: u32,

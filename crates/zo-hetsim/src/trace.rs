@@ -142,15 +142,6 @@ mod tests {
     }
 
     #[test]
-    fn json_trace_is_valid() {
-        let tl = two_stream_timeline();
-        let json = tl.to_json();
-        let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
-        assert_eq!(parsed["tasks"].as_array().unwrap().len(), 2);
-        assert_eq!(parsed["streams"][0], "gpu");
-    }
-
-    #[test]
     fn chrome_trace_export_is_valid_and_scaled() {
         let tl = two_stream_timeline();
         let events = tl.to_trace_events();
@@ -158,15 +149,17 @@ mod tests {
         assert_eq!(events[0].track, "gpu");
         assert_eq!(events[0].dur_us, 2_000_000); // 2 simulated seconds
         let json = tl.chrome_trace_json();
-        let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
-        let evs = parsed["traceEvents"].as_array().unwrap();
+        let parsed = zo_trace::json::parse(&json).unwrap();
+        let evs = parsed.get("traceEvents").unwrap().as_array().unwrap();
         // 2 thread_name metadata records + 2 complete events.
         assert_eq!(evs.len(), 4);
         let complete: Vec<_> = evs
             .iter()
-            .filter(|e| e["ph"].as_str() == Some("X"))
+            .filter(|e| e.get("ph").and_then(|ph| ph.as_str()) == Some("X"))
             .collect();
         assert_eq!(complete.len(), 2);
-        assert!(complete.iter().all(|e| e["dur"].as_u64().is_some()));
+        assert!(complete
+            .iter()
+            .all(|e| e.get("dur").and_then(|d| d.as_u64()).is_some()));
     }
 }

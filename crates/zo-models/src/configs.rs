@@ -1,11 +1,9 @@
 //! The evaluation model zoo of Table 3, plus BERT-large (Sec. 6.1).
 
-use serde::{Deserialize, Serialize};
-
 use crate::transformer::TransformerConfig;
 
 /// One row of Table 3: a model size with its evaluation settings.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalConfig {
     /// Nominal parameter count label, in billions (e.g. 10 for "10B").
     pub label_b: f64,

@@ -7,10 +7,8 @@
 //! the standard accounting formulas for a pre-LN transformer LM trained
 //! with activation checkpointing (which the paper uses — Fig. 2 caption).
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of a GPT-2-like decoder-only transformer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransformerConfig {
     /// Number of transformer layers.
     pub num_layers: u32,
@@ -99,7 +97,7 @@ impl TransformerConfig {
 }
 
 /// The four model-state components of mixed-precision Adam training.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModelStateBytes {
     /// fp16 parameters (2 bytes each).
     pub p16: u64,

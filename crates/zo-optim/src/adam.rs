@@ -14,8 +14,6 @@
 //! p   = p + bc1 * (m / d)
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::OptimError;
 
 /// Adam hyper-parameters.
@@ -27,8 +25,7 @@ use crate::error::OptimError;
 /// assert_eq!(hp.beta1, 0.9);
 /// assert_eq!(hp.beta2, 0.999);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdamParams {
     /// Learning rate (alpha).
     pub lr: f32,
@@ -84,7 +81,7 @@ impl AdamParams {
 }
 
 /// Per-parameter Adam state: first and second moment vectors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdamState {
     /// First moment (momentum), fp32.
     pub m: Vec<f32>,

@@ -9,8 +9,7 @@
 //! overflow, skipping the affected step.
 
 /// Configuration for [`DynamicLossScaler`].
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-#[serde(default)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LossScaleConfig {
     /// Initial scale (power of two).
     pub init_scale: f32,

@@ -20,6 +20,9 @@
 //! [`TraceEvent`] list the same way, so simulated timelines
 //! (`zo-hetsim`) and real runs produce identical artifacts.
 //!
+//! [`json`] holds the string quoting those writers use and the one JSON
+//! reader the workspace has, bounded in nesting depth.
+//!
 //! The crate is dependency-free and thread-safe: a tracer clone is a
 //! cheap `Arc` handle, and a **disabled** tracer ([`Tracer::disabled`])
 //! records nothing at the cost of one branch per call site. Engines that
@@ -28,6 +31,8 @@
 //! [`lookup`] resolves it anywhere in the process.
 
 #![warn(missing_docs)]
+
+pub mod json;
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -424,7 +429,7 @@ impl Tracer {
         for (i, track) in tracks.iter().enumerate() {
             push_event(&mut out, &mut first, &format!(
                 "{{\"ph\":\"M\",\"pid\":0,\"tid\":{i},\"name\":\"thread_name\",\"args\":{{\"name\":{}}}}}",
-                json_str(track)
+                json::quote(track)
             ));
         }
         for s in &st.spans {
@@ -434,7 +439,7 @@ impl Tracer {
                 &format!(
                     "{{\"ph\":\"X\",\"pid\":0,\"tid\":{},\"name\":{},\"ts\":{},\"dur\":{}}}",
                     tid(&s.track),
-                    json_str(&s.name),
+                    json::quote(&s.name),
                     s.start_us,
                     s.dur_us
                 ),
@@ -447,9 +452,9 @@ impl Tracer {
                 &format!(
                 "{{\"ph\":\"C\",\"pid\":0,\"tid\":{},\"name\":{},\"ts\":{},\"args\":{{{}:{}}}}}",
                 tid(&c.track),
-                json_str(&c.name),
+                json::quote(&c.name),
                 c.ts_us,
-                json_str(&c.name),
+                json::quote(&c.name),
                 c.total
             ),
             );
@@ -487,7 +492,7 @@ pub fn chrome_trace_json_from(events: &[TraceEvent]) -> String {
     for (i, track) in tracks.iter().enumerate() {
         push_event(&mut out, &mut first, &format!(
             "{{\"ph\":\"M\",\"pid\":0,\"tid\":{i},\"name\":\"thread_name\",\"args\":{{\"name\":{}}}}}",
-            json_str(track)
+            json::quote(track)
         ));
     }
     for e in events {
@@ -497,7 +502,7 @@ pub fn chrome_trace_json_from(events: &[TraceEvent]) -> String {
             &format!(
                 "{{\"ph\":\"X\",\"pid\":0,\"tid\":{},\"name\":{},\"ts\":{},\"dur\":{}}}",
                 tid(&e.track),
-                json_str(&e.name),
+                json::quote(&e.name),
                 e.start_us,
                 e.dur_us
             ),
@@ -513,24 +518,6 @@ fn push_event(out: &mut String, first: &mut bool, event: &str) {
     }
     *first = false;
     out.push_str(event);
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// An open span; records its interval when dropped.

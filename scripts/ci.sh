@@ -47,6 +47,28 @@ leg_perfbench_build() {
     cargo build --release --offline --manifest-path perfbench/Cargo.toml
 }
 
+# The training CLI's checkpoint path end to end: --save writes the framed
+# binary file, --resume reads it back, and a copy cut to half its length
+# must make --resume fail with a "truncated" error.
+leg_train_checkpoint() {
+    local t
+    t=$(mktemp -d)
+    ./target/release/train --steps 4 --save "$t/c.ckpt"
+    ./target/release/train --steps 4 --resume "$t/c.ckpt"
+    head -c "$(($(wc -c <"$t/c.ckpt") / 2))" "$t/c.ckpt" >"$t/torn.ckpt"
+    if ./target/release/train --steps 4 --resume "$t/torn.ckpt" 2>"$t/err"; then
+        echo "FAIL: train --resume accepted a half-length checkpoint" >&2
+        exit 1
+    fi
+    if ! grep -q truncated "$t/err"; then
+        echo "FAIL: torn checkpoint not reported as truncated:" >&2
+        cat "$t/err" >&2
+        exit 1
+    fi
+    echo "   torn checkpoint rejected: $(cat "$t/err")"
+    rm -rf "$t"
+}
+
 leg_test_debug() {
     echo "   ZO_THREADS=1"
     ZO_THREADS=1 cargo test -q
@@ -166,6 +188,7 @@ leg_criterion_artifact() {
 run_leg "cargo fmt / clippy / doc (warnings are errors)" leg_lint
 run_leg "cargo build --release (plus artifact binaries)" leg_build_release
 run_leg "benchmark build (perfbench/, build only)" leg_perfbench_build
+run_leg "train CLI checkpoint save / resume / torn-file smoke test" leg_train_checkpoint
 run_leg "cargo test (ZO_THREADS=1 and 4)" leg_test_debug
 run_leg "cargo test --release" leg_test_release
 run_leg "fault harness (unit tests + fault matrix, both presets)" leg_fault_harness

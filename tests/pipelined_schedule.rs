@@ -265,10 +265,10 @@ fn checkpoint_with_update_in_flight_resumes_bitwise() {
     );
     // Dropping the engine drains the in-flight update cleanly; the saved
     // snapshot must not be affected by it (it excludes in-flight work).
-    let json = serde_json::to_string(&ckpt).unwrap();
+    let bytes = zero_offload::encode_checkpoint_bytes(&ckpt);
     drop(first);
-    let reloaded: zero_offload::TrainingCheckpoint = serde_json::from_str(&json).unwrap();
-    assert_eq!(reloaded, ckpt, "checkpoint JSON round-trip drifted");
+    let reloaded = zero_offload::decode_checkpoint_bytes(&bytes).unwrap();
+    assert_eq!(reloaded, ckpt, "checkpoint round-trip drifted");
 
     let mut resumed = ZeroOffloadEngine::new(GptModel::new(GPT_SMALL, 1), dpu_cfg);
     resumed.restore_checkpoint(&reloaded).unwrap();
