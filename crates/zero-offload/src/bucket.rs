@@ -10,19 +10,18 @@
 //! Buckets bound the transient GPU staging memory (the `GRAD_BUCKET_BYTES`
 //! of the memory model): only the open bucket lives on the device.
 
-use bytes::Bytes;
 use zo_tensor::F16;
 
-use crate::wire::encode_frame;
+use crate::wire::{encode_grad_frame, GradFrame};
 
 /// Packs gradient spans into fixed-size wire frames.
 pub struct GradBucketer {
     capacity_elems: usize,
-    seq: u32,
+    frames: u32,
     /// Flat offset of the first staged element, if any.
     open_offset: Option<u64>,
     staged: Vec<F16>,
-    emitted: Vec<Bytes>,
+    emitted: Vec<Vec<u8>>,
     total_payload_bytes: u64,
     total_wire_bytes: u64,
     tracer: zo_trace::Tracer,
@@ -50,7 +49,7 @@ impl GradBucketer {
         assert!(capacity_bytes >= 2, "bucket must hold at least one element");
         GradBucketer {
             capacity_elems: capacity_bytes / 2,
-            seq: 0,
+            frames: 0,
             open_offset: None,
             staged: Vec::new(),
             emitted: Vec::new(),
@@ -100,7 +99,7 @@ impl GradBucketer {
             return;
         }
         let offset = self.open_offset.take().expect("staged implies open");
-        let frame = encode_frame(self.seq, offset, &self.staged);
+        let frame = encode_grad_frame(offset, &self.staged);
         self.total_payload_bytes += 2 * self.staged.len() as u64;
         self.total_wire_bytes += frame.len() as u64;
         self.tracer
@@ -112,12 +111,12 @@ impl GradBucketer {
         );
         self.tracer.add(&self.track, "tx_frames", 1);
         self.emitted.push(frame);
-        self.seq += 1;
+        self.frames += 1;
         self.staged.clear();
     }
 
     /// Takes all frames emitted so far.
-    pub fn take_frames(&mut self) -> Vec<Bytes> {
+    pub fn take_frames(&mut self) -> Vec<Vec<u8>> {
         core::mem::take(&mut self.emitted)
     }
 
@@ -133,11 +132,12 @@ impl GradBucketer {
 
     /// Frames emitted so far.
     pub fn frames_emitted(&self) -> u32 {
-        self.seq
+        self.frames
     }
 }
 
-/// Reassembles decoded frames into a flat fp32 gradient buffer.
+/// Reassembles decoded frames into a flat fp32 gradient buffer, widening
+/// each frame's fp16 bytes straight into place.
 ///
 /// Returns the number of elements written. Overlapping frames overwrite —
 /// callers send disjoint spans.
@@ -145,18 +145,18 @@ impl GradBucketer {
 /// # Panics
 ///
 /// Panics if a frame extends past `dst.len()`.
-pub fn scatter_frames(frames: &[crate::wire::GradFrame], dst: &mut [f32]) -> usize {
+pub fn scatter_frames(frames: &[GradFrame<'_>], dst: &mut [f32]) -> usize {
     let mut written = 0;
     for f in frames {
-        let start = f.offset as usize;
-        let end = start + f.values.len();
+        let start = usize::try_from(f.offset).unwrap_or(usize::MAX);
+        let end = start.saturating_add(f.len());
         assert!(
             end <= dst.len(),
             "frame [{start}, {end}) exceeds buffer {}",
             dst.len()
         );
-        F16::to_f32_slice(&f.values, &mut dst[start..end]);
-        written += f.values.len();
+        f.widen_into(&mut dst[start..end]);
+        written += f.len();
     }
     written
 }
@@ -170,10 +170,14 @@ pub fn default_bucket_bytes() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{decode_frame, frame_bytes};
+    use crate::wire::{decode_grad_frame, frame_bytes};
 
     fn vals(range: core::ops::Range<usize>) -> Vec<F16> {
         range.map(|i| F16::from_f32(i as f32 * 0.5)).collect()
+    }
+
+    fn decode_all(raw: &[Vec<u8>]) -> Vec<GradFrame<'_>> {
+        raw.iter().map(|f| decode_grad_frame(f).unwrap()).collect()
     }
 
     #[test]
@@ -185,22 +189,14 @@ mod tests {
         b.push(10, &vals(10..20));
         assert_eq!(b.frames_emitted(), 2);
         b.flush();
-        let frames: Vec<_> = b
-            .take_frames()
-            .into_iter()
-            .map(|f| decode_frame(f).unwrap())
-            .collect();
+        let raw = b.take_frames();
+        let frames = decode_all(&raw);
         assert_eq!(frames.len(), 3);
         assert_eq!(frames[0].offset, 0);
-        assert_eq!(frames[0].values.len(), 8);
+        assert_eq!(frames[0].len(), 8);
         assert_eq!(frames[1].offset, 8);
         assert_eq!(frames[2].offset, 16);
-        assert_eq!(frames[2].values.len(), 4);
-        // Sequence numbers are monotone.
-        assert_eq!(
-            frames.iter().map(|f| f.seq).collect::<Vec<_>>(),
-            vec![0, 1, 2]
-        );
+        assert_eq!(frames[2].len(), 4);
     }
 
     #[test]
@@ -209,11 +205,8 @@ mod tests {
         b.push(0, &vals(0..3));
         b.push(100, &vals(0..3)); // Gap: first bucket must close.
         b.flush();
-        let frames: Vec<_> = b
-            .take_frames()
-            .into_iter()
-            .map(|f| decode_frame(f).unwrap())
-            .collect();
+        let raw = b.take_frames();
+        let frames = decode_all(&raw);
         assert_eq!(frames.len(), 2);
         assert_eq!(frames[0].offset, 0);
         assert_eq!(frames[1].offset, 100);
@@ -224,8 +217,8 @@ mod tests {
         let mut b = GradBucketer::new(8); // 4 elements per bucket
         b.push(0, &vals(0..4));
         assert_eq!(b.payload_bytes(), 8);
-        assert_eq!(b.wire_bytes(), (crate::wire::frame_bytes(4)) as u64);
-        assert_eq!(frame_bytes(4), 24 + 8);
+        assert_eq!(b.wire_bytes(), frame_bytes(4) as u64);
+        assert_eq!(frame_bytes(4), 28 + 8);
     }
 
     #[test]
@@ -234,13 +227,9 @@ mod tests {
         let src: Vec<F16> = (0..13).map(|i| F16::from_f32(i as f32)).collect();
         b.push(7, &src);
         b.flush();
-        let frames: Vec<_> = b
-            .take_frames()
-            .into_iter()
-            .map(|f| decode_frame(f).unwrap())
-            .collect();
+        let raw = b.take_frames();
         let mut dst = vec![0.0f32; 32];
-        let written = scatter_frames(&frames, &mut dst);
+        let written = scatter_frames(&decode_all(&raw), &mut dst);
         assert_eq!(written, 13);
         for i in 0..13 {
             assert_eq!(dst[7 + i], i as f32);
@@ -260,12 +249,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds buffer")]
     fn scatter_bounds_checked() {
-        let frames = vec![crate::wire::GradFrame {
-            seq: 0,
-            offset: 30,
-            values: vec![F16::ONE; 5],
-        }];
+        let raw = encode_grad_frame(30, &[F16::ONE; 5]);
         let mut dst = vec![0.0f32; 32];
-        scatter_frames(&frames, &mut dst);
+        scatter_frames(&decode_all(&[raw]), &mut dst);
     }
 }

@@ -30,7 +30,7 @@ use crate::config::{resolve_fault_plan, resolve_tracer, OffloadDevice, ZeroOfflo
 use crate::pipeline::{
     build_offload_updater, GradStream, Placement, StepError, StepPipeline, Updater,
 };
-use crate::wire::{decode_frame_traced, quantize_grads, ship_frame};
+use crate::wire::{decode_frame_traced, ship_frame};
 use crate::zero2::ShardPlacement;
 use crate::zero3::{Zero3Cache, Zero3Params};
 
@@ -100,17 +100,15 @@ fn finish_offload(
     mut faults: Option<&mut FaultSession>,
 ) -> Result<(), FaultError> {
     bucketer.flush();
-    let mut frames = Vec::new();
     for raw in bucketer.take_frames() {
         let raw = match faults.as_deref_mut() {
             Some(session) => ship_frame(raw, session, tracer, "pcie")?,
             None => raw,
         };
-        frames.push(
-            decode_frame_traced(tracer, "pcie", raw).expect("loopback frames are well-formed"),
-        );
+        let frame =
+            decode_frame_traced(tracer, "pcie", &raw).expect("loopback frames are well-formed");
+        scatter_frames(&[frame], grads);
     }
-    scatter_frames(&frames, grads);
     zo_tensor::ops::scale(grads, 1.0 / scale);
     stats.d2h_bytes += bucketer.payload_bytes();
     stats.wire_bytes += bucketer.wire_bytes();
@@ -127,34 +125,15 @@ fn finish_offload(
 
 /// The single-accelerator placement: one full fp16 replica on the device,
 /// the whole fp32 state on the host, gradients crossing "PCIe" in layer
-/// buckets (streamed from backward when armed, post hoc otherwise).
+/// buckets through the [`GradStream`] (from inside backward when it was
+/// fed, replayed post hoc otherwise).
+#[derive(Default)]
 pub(crate) struct ReplicaPlacement {
-    /// Flat offset ranges of each layer bucket, in canonical order.
-    layer_ranges: Vec<core::ops::Range<usize>>,
-    bucket_bytes: usize,
-    /// fp16 cast scratch for the post-hoc transfer, reused across steps.
-    wire: Vec<F16>,
-    /// fp32 scale scratch feeding the batched narrowing codec, reused.
-    wire32: Vec<f32>,
     /// fp32 widening scratch for the h2d parameter copy, reused.
     widened: Vec<f32>,
 }
 
 impl ReplicaPlacement {
-    /// The placement for a model with the given layer buckets.
-    pub(crate) fn new(
-        layer_ranges: Vec<core::ops::Range<usize>>,
-        bucket_bytes: usize,
-    ) -> ReplicaPlacement {
-        ReplicaPlacement {
-            layer_ranges,
-            bucket_bytes,
-            wire: Vec::new(),
-            wire32: Vec::new(),
-            widened: Vec::new(),
-        }
-    }
-
     /// Loads the fp16 view into the model through the reusable widening
     /// scratch (no per-step allocation).
     pub(crate) fn load_model(&mut self, model: &mut impl Model, p16: &[F16]) {
@@ -181,8 +160,7 @@ impl ReplicaPlacement {
             // The gradients already crossed the wire from inside backward
             // (each slice passed the gate at push time); only the tail
             // (final flush, reassembly, unscale) remains.
-            let mut bucketer = core::mem::replace(&mut stream.bucketer, GradBucketer::new(2));
-            finish_offload(&mut bucketer, grads, scale, stats, tracer, None)?;
+            finish_offload(&mut stream.bucketer, grads, scale, stats, tracer, None)?;
             let end = tracer.now_us();
             tracer.record_span("pcie", "grad_offload", start, end.saturating_sub(start));
             return Ok(stream.overflow);
@@ -191,28 +169,18 @@ impl ReplicaPlacement {
         // post-hoc pass is the *recovery* retransmission after backward
         // completed, so it bypasses the wire gate.
         let degraded = stream.take_poisoned();
-        // Post-hoc transfer: scale, cast to fp16, pack the layer spans into
-        // wire frames in backward order (head bucket first, blocks
-        // reversed, embeddings last — the order they become ready in
-        // Sec. 4.1), ship, validate, scatter into host memory.
+        // Post-hoc transfer: replay the layer spans through the stream's
+        // staging in backward order (head bucket first, blocks reversed,
+        // embeddings last — the order they become ready in Sec. 4.1),
+        // then ship, validate and scatter into host memory. The replay
+        // stages without the stream's own gate; the frames pass the
+        // engine's `wire.d2h` gate at ship time instead.
         let _transfer = tracer.span("pcie", "grad_offload");
         model.copy_grads_to(grads);
-        let mut overflow = false;
-        let mut bucketer = GradBucketer::traced(self.bucket_bytes, tracer.clone(), "pcie");
-        for range in self.layer_ranges.iter().rev() {
-            let quantized = quantize_grads(
-                &grads[range.clone()],
-                denom,
-                scale,
-                &mut self.wire32,
-                &mut self.wire,
-            );
-            overflow |= quantized;
-            bucketer.push(range.start as u64, &self.wire);
-        }
+        stream.replay(grads, scale, denom);
         let gate = if degraded { None } else { Some(faults) };
-        finish_offload(&mut bucketer, grads, scale, stats, tracer, gate)?;
-        Ok(overflow)
+        finish_offload(&mut stream.bucketer, grads, scale, stats, tracer, gate)?;
+        Ok(stream.overflow)
     }
 
     /// The h2d parameter copy-back.
@@ -257,9 +225,8 @@ impl<M: Model> ZeroOffloadEngine<M> {
     /// The model's initial parameters become the fp32 master copy; the
     /// model itself is immediately switched to their fp16 rounding, as a
     /// GPU would hold them.
-    pub fn new(mut model: M, cfg: ZeroOffloadConfig) -> ZeroOffloadEngine<M> {
-        let placement = ReplicaPlacement::new(model.layer_ranges(), cfg.bucket_bytes);
-        ZeroOffloadEngine::build(model, cfg, Placement::Replica(placement))
+    pub fn new(model: M, cfg: ZeroOffloadConfig) -> ZeroOffloadEngine<M> {
+        ZeroOffloadEngine::build(model, cfg, Placement::Replica(ReplicaPlacement::default()))
     }
 
     /// Wraps one rank's model replica as a ZeRO-2 rank (paper Sec. 4.2):
@@ -394,7 +361,8 @@ impl<M: Model> ZeroOffloadEngine<M> {
 
     /// Runs one micro-batch and, at window boundaries, the offloaded
     /// optimizer step, transferring gradients post hoc (after backward
-    /// completes).
+    /// completes). This is [`step_streamed`](Self::step_streamed) with a
+    /// backward that never feeds the stream.
     ///
     /// `run_backward` must perform forward + backward on the model,
     /// accumulating gradients, and return the loss. The engine zeroes
@@ -410,12 +378,7 @@ impl<M: Model> ZeroOffloadEngine<M> {
         &mut self,
         run_backward: impl FnOnce(&mut M) -> Result<f32, E>,
     ) -> Result<StepOutcome, StepError<E>> {
-        self.pipe.step(
-            &mut self.model,
-            &mut self.placement,
-            &mut self.stream,
-            |m, _| run_backward(m),
-        )
+        self.step_streamed(|m, _| run_backward(m))
     }
 
     /// Like [`ZeroOffloadEngine::step`], but streams gradients through the
@@ -435,7 +398,8 @@ impl<M: Model> ZeroOffloadEngine<M> {
     /// gradient accumulation, earlier micro-batches hold incomplete sums)
     /// and only on a single accelerator: ZeRO-2/3 ranks move gradients by
     /// reduce-scatter, so their stream stays disarmed. A stream that is
-    /// never fed falls back to the post-hoc transfer.
+    /// never fed falls back to the post-hoc transfer, which replays the
+    /// gradients through the same staging.
     pub fn step_streamed<E>(
         &mut self,
         run_backward: impl FnOnce(&mut M, &mut GradStream) -> Result<f32, E>,

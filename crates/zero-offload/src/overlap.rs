@@ -19,7 +19,7 @@
 //! the synchronous [`DelayedUpdate`], and liveness by a test that submits
 //! work and observes the caller thread making progress before collecting.
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use zo_optim::{AdamState, CpuAdam, CpuAdamConfig};
 use zo_tensor::F16;
 
@@ -50,7 +50,7 @@ pub struct DpuUpdate {
 
 /// An optimizer thread owning the fp32 master parameters.
 pub struct AsyncDpu {
-    tx: Sender<Job>,
+    tx: SyncSender<Job>,
     rx: Receiver<DpuUpdate>,
     worker: Option<std::thread::JoinHandle<Vec<f32>>>,
     in_flight: bool,
@@ -95,8 +95,8 @@ impl AsyncDpu {
             assert_eq!(s.len(), master.len(), "restored state length");
         }
         let track = track.to_string();
-        let (job_tx, job_rx) = bounded::<Job>(1);
-        let (done_tx, done_rx) = bounded::<DpuUpdate>(1);
+        let (job_tx, job_rx) = sync_channel::<Job>(1);
+        let (done_tx, done_rx) = sync_channel::<DpuUpdate>(1);
         let worker = std::thread::spawn(move || {
             let mut master = master;
             let mut opt = CpuAdam::new(cfg, master.len());

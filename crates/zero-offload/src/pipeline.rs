@@ -464,13 +464,14 @@ impl PipelinedDpu {
 /// *during* backward — the paper's overlapped gradient offload.
 ///
 /// The hook is inert until armed by the engine for a window-final
-/// micro-batch; a plain [`ZeroOffloadEngine::step`](crate::ZeroOffloadEngine::step)
-/// never arms it and transfers post hoc instead, and neither does a
-/// ZeRO-2/3 rank, whose gradients move by reduce-scatter. Streaming applies the
-/// same loss-scale fp16 rounding, pushes slices at the same flat offsets
-/// in the same backward order (head first, blocks reversed, embeddings
-/// last), and therefore produces byte-identical wire frames — scheduling
-/// changes, numerics never do.
+/// micro-batch; a ZeRO-2/3 rank never arms it, since its gradients move
+/// by reduce-scatter. When an armed stream is not fed (a plain
+/// [`ZeroOffloadEngine::step`](crate::ZeroOffloadEngine::step)) or is
+/// poisoned mid-backward, the post-hoc transfer replays the finished
+/// gradients through the same staging. Either way the same loss-scale fp16
+/// rounding is applied, slices land at the same flat offsets in the same
+/// backward order (head first, blocks reversed, embeddings last), and the
+/// wire frames are byte-identical — scheduling changes, numerics never do.
 pub struct GradStream {
     pub(crate) tracer: Tracer,
     pub(crate) ranges: Vec<core::ops::Range<usize>>,
@@ -533,7 +534,12 @@ impl GradStream {
     /// Arms the stream for the closing micro-batch of a window: slices
     /// arriving from backward will be rounded and framed immediately.
     pub(crate) fn arm(&mut self, scale: f32, denom: f32) {
+        self.reset(scale, denom);
         self.armed = true;
+    }
+
+    /// Starts a fresh window: empty bucketer, cleared flags and counters.
+    fn reset(&mut self, scale: f32, denom: f32) {
         self.scale = scale;
         self.denom = denom;
         self.overflow = false;
@@ -543,6 +549,32 @@ impl GradStream {
         self.bucketer = GradBucketer::traced(self.bucket_bytes, self.tracer.clone(), "pcie");
         self.start_us = None;
         self.poisoned = false;
+    }
+
+    /// The post-hoc transfer: stages every layer span of the finished
+    /// `grads` in backward order, leaving the frames in `bucketer` and the
+    /// overflow flag in `overflow`. Unlike [`BackwardHook::on_grads`] this
+    /// does not pass the stream's own `wire.d2h` gate.
+    pub(crate) fn replay(&mut self, grads: &[f32], scale: f32, denom: f32) {
+        self.reset(scale, denom);
+        for i in (0..self.ranges.len()).rev() {
+            let range = self.ranges[i].clone();
+            self.stage(range.start, &grads[range]);
+        }
+    }
+
+    /// Rounds one gradient slice to fp16 under the window's scale and
+    /// stages it at flat `offset`.
+    fn stage(&mut self, offset: usize, grads: &[f32]) {
+        self.overflow |= quantize_grads(
+            grads,
+            self.denom,
+            self.scale,
+            &mut self.wire32,
+            &mut self.wire,
+        );
+        self.bucketer.push(offset as u64, &self.wire);
+        self.streamed += grads.len();
     }
 
     /// Consumes the poisoned flag: `true` means the streamed window was
@@ -604,17 +636,8 @@ impl BackwardHook for GradStream {
             }
         }
         let offset = self.ranges[bucket].start + self.written[bucket];
-        let quantized = quantize_grads(
-            grads,
-            self.denom,
-            self.scale,
-            &mut self.wire32,
-            &mut self.wire,
-        );
-        self.overflow |= quantized;
-        self.bucketer.push(offset as u64, &self.wire);
+        self.stage(offset, grads);
         self.written[bucket] += grads.len();
-        self.streamed += grads.len();
     }
 
     fn on_bucket(&mut self, _bucket: usize) {}

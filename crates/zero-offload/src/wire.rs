@@ -2,146 +2,103 @@
 //!
 //! Gradients leave the device as fp16 and arrive in host memory (paper
 //! Sec. 4.1). This module gives that transfer a concrete byte format so
-//! the emulated link moves real framed bytes: each frame carries a header
-//! (magic, sequence number, flat offset, element count, checksum) and a
-//! little-endian fp16 payload. Frames are the unit the gradient bucketer
-//! emits and the host-side consumer validates.
+//! the emulated link moves real framed bytes. A gradient frame is a
+//! [`framing`] frame of the [`GRAD_FRAME`] family — the same header,
+//! checksum and typed [`FrameError`]s as checkpoints and tier partitions —
+//! whose payload is the flat offset of the first element (u64 LE)
+//! followed by the little-endian fp16 values. Frames are the unit the
+//! gradient bucketer emits and the host-side consumer validates.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use zo_tensor::F16;
 
-/// Frame magic: "ZOfl".
-pub const MAGIC: u32 = 0x5A4F_666C;
+use crate::framing::{self, FrameError, FrameSpec};
 
-/// Header size in bytes.
-pub const HEADER_BYTES: usize = 4 + 4 + 8 + 4 + 4;
+/// The gradient frame family: magic "ZOfl".
+pub const GRAD_FRAME: FrameSpec = FrameSpec {
+    magic: 0x5A4F_666C,
+    version: 1,
+};
 
-/// Errors produced when decoding a frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireError {
-    /// The buffer is shorter than a header.
-    Truncated {
-        /// Bytes available.
-        have: usize,
-        /// Bytes needed.
-        need: usize,
-    },
-    /// The magic word did not match.
-    BadMagic {
-        /// The value found.
-        found: u32,
-    },
-    /// The checksum did not match the payload.
-    BadChecksum {
-        /// Checksum in the header.
-        expected: u32,
-        /// Checksum computed over the payload.
-        computed: u32,
-    },
-}
+/// Bytes a frame adds to its fp16 values: the frame header plus the
+/// u64 offset.
+pub const HEADER_BYTES: usize = framing::HEADER_BYTES + OFFSET_BYTES;
 
-impl core::fmt::Display for WireError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            WireError::Truncated { have, need } => {
-                write!(f, "truncated frame: have {have} bytes, need {need}")
-            }
-            WireError::BadMagic { found } => write!(f, "bad magic {found:#010x}"),
-            WireError::BadChecksum { expected, computed } => {
-                write!(
-                    f,
-                    "checksum mismatch: header {expected:#010x}, payload {computed:#010x}"
-                )
-            }
-        }
-    }
-}
+const OFFSET_BYTES: usize = 8;
 
-impl std::error::Error for WireError {}
+/// Elements widened per batch when decoding straight from payload bytes:
+/// a fixed stack buffer keeps [`F16::to_f32_slice`]'s vector path.
+const WIDEN_BATCH: usize = 64;
 
-/// A decoded gradient frame.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GradFrame {
-    /// Monotone sequence number within a step.
-    pub seq: u32,
+/// A decoded gradient frame: a view into the validated frame bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GradFrame<'a> {
     /// Flat offset of the first element in the parameter space.
     pub offset: u64,
-    /// The fp16 gradient values.
-    pub values: Vec<F16>,
+    /// The fp16 values, two little-endian bytes each.
+    pub values: &'a [u8],
 }
 
-/// FNV-1a over the payload bytes.
-fn checksum(payload: &[u8]) -> u32 {
-    let mut h: u32 = 0x811C_9DC5;
-    for &b in payload {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x0100_0193);
+impl GradFrame<'_> {
+    /// Number of fp16 values in the frame.
+    pub fn len(&self) -> usize {
+        self.values.len() / 2
     }
-    h
-}
 
-/// Elements serialized per batch when framing/unframing fp16 payloads.
-/// Copying through a fixed stack buffer amortizes the per-element
-/// capacity checks of `put_u16_le`/`get_u16_le`.
-const FRAME_BATCH: usize = 64;
+    /// Whether the frame carries no values.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
 
-/// Encodes one frame.
-pub fn encode_frame(seq: u32, offset: u64, values: &[F16]) -> Bytes {
-    let mut payload = BytesMut::with_capacity(values.len() * 2);
-    let mut staged = [0u8; 2 * FRAME_BATCH];
-    for chunk in values.chunks(FRAME_BATCH) {
-        for (dst, v) in staged.chunks_exact_mut(2).zip(chunk) {
-            dst.copy_from_slice(&v.to_bits().to_le_bytes());
+    /// Widens the values into `dst`, which must hold exactly
+    /// [`len`](Self::len) elements.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a length mismatch.
+    pub fn widen_into(&self, dst: &mut [f32]) {
+        assert_eq!(dst.len(), self.len(), "widen length mismatch");
+        let mut lanes = [F16::ZERO; WIDEN_BATCH];
+        for (src, out) in self
+            .values
+            .chunks(2 * WIDEN_BATCH)
+            .zip(dst.chunks_mut(WIDEN_BATCH))
+        {
+            for (lane, b) in lanes.iter_mut().zip(src.chunks_exact(2)) {
+                *lane = F16::from_bits(u16::from_le_bytes([b[0], b[1]]));
+            }
+            F16::to_f32_slice(&lanes[..out.len()], out);
         }
-        payload.extend_from_slice(&staged[..2 * chunk.len()]);
     }
-    let mut out = BytesMut::with_capacity(HEADER_BYTES + payload.len());
-    out.put_u32_le(MAGIC);
-    out.put_u32_le(seq);
-    out.put_u64_le(offset);
-    out.put_u32_le(values.len() as u32);
-    out.put_u32_le(checksum(&payload));
-    out.extend_from_slice(&payload);
-    out.freeze()
 }
 
-/// Decodes one frame, validating magic and checksum.
-pub fn decode_frame(mut buf: Bytes) -> Result<GradFrame, WireError> {
-    if buf.len() < HEADER_BYTES {
-        return Err(WireError::Truncated {
-            have: buf.len(),
-            need: HEADER_BYTES,
-        });
+/// Encodes the fp16 `values` starting at flat `offset` as one frame.
+pub fn encode_grad_frame(offset: u64, values: &[F16]) -> Vec<u8> {
+    let mut payload = vec![0u8; OFFSET_BYTES + 2 * values.len()];
+    payload[..OFFSET_BYTES].copy_from_slice(&offset.to_le_bytes());
+    for (dst, v) in payload[OFFSET_BYTES..].chunks_exact_mut(2).zip(values) {
+        dst.copy_from_slice(&v.to_bits().to_le_bytes());
     }
-    let magic = buf.get_u32_le();
-    if magic != MAGIC {
-        return Err(WireError::BadMagic { found: magic });
+    framing::encode_frame(GRAD_FRAME, &payload)
+}
+
+/// Decodes one frame through [`framing::decode_frame`]. A payload too
+/// short for the offset, or with an odd number of value bytes, is a torn
+/// payload and decodes to [`FrameError::Truncated`].
+pub fn decode_grad_frame(bytes: &[u8]) -> Result<GradFrame<'_>, FrameError> {
+    let payload = framing::decode_frame(GRAD_FRAME, bytes)?;
+    let torn = |need: usize| FrameError::Truncated {
+        have: payload.len(),
+        need,
+    };
+    if payload.len() < OFFSET_BYTES {
+        return Err(torn(OFFSET_BYTES));
     }
-    let seq = buf.get_u32_le();
-    let offset = buf.get_u64_le();
-    let count = buf.get_u32_le() as usize;
-    let expected = buf.get_u32_le();
-    if buf.len() < count * 2 {
-        return Err(WireError::Truncated {
-            have: buf.len(),
-            need: count * 2,
-        });
+    if !payload.len().is_multiple_of(2) {
+        return Err(torn(payload.len() + 1));
     }
-    let payload = buf.copy_to_bytes(count * 2);
-    let computed = checksum(&payload);
-    if computed != expected {
-        return Err(WireError::BadChecksum { expected, computed });
-    }
-    let mut values = Vec::with_capacity(count);
-    let bytes: &[u8] = &payload;
-    values.extend(
-        bytes
-            .chunks_exact(2)
-            .map(|b| F16::from_bits(u16::from_le_bytes([b[0], b[1]]))),
-    );
+    let (offset, values) = payload.split_at(OFFSET_BYTES);
     Ok(GradFrame {
-        seq,
-        offset,
+        offset: u64::from_le_bytes(offset.try_into().expect("8 bytes")),
         values,
     })
 }
@@ -190,15 +147,14 @@ pub fn roundtrip_grads(
 /// Decodes one frame and records receive-side counters on `track`:
 /// `rx_wire_bytes` (full frame size), `rx_payload_bytes` (fp16 payload)
 /// and `rx_frames`. Failed frames count nothing.
-pub fn decode_frame_traced(
+pub fn decode_frame_traced<'a>(
     tracer: &zo_trace::Tracer,
     track: &str,
-    buf: Bytes,
-) -> Result<GradFrame, WireError> {
-    let wire = buf.len() as u64;
-    let frame = decode_frame(buf)?;
-    tracer.add(track, "rx_wire_bytes", wire);
-    tracer.add(track, "rx_payload_bytes", 2 * frame.values.len() as u64);
+    bytes: &'a [u8],
+) -> Result<GradFrame<'a>, FrameError> {
+    let frame = decode_grad_frame(bytes)?;
+    tracer.add(track, "rx_wire_bytes", bytes.len() as u64);
+    tracer.add(track, "rx_payload_bytes", frame.values.len() as u64);
     tracer.add(track, "rx_frames", 1);
     Ok(frame)
 }
@@ -217,11 +173,11 @@ pub fn frame_bytes(elements: usize) -> usize {
 /// decoded gradients. A fatal or retry-exhausted fault surfaces as a
 /// typed [`zo_fault::FaultError`]; the frame is considered lost.
 pub fn ship_frame(
-    frame: Bytes,
+    frame: Vec<u8>,
     faults: &mut zo_fault::FaultSession,
     tracer: &zo_trace::Tracer,
     track: &str,
-) -> Result<Bytes, zo_fault::FaultError> {
+) -> Result<Vec<u8>, zo_fault::FaultError> {
     zo_fault::with_retry(faults, zo_fault::Site::WireD2h, tracer, track, || frame)
 }
 
@@ -237,70 +193,86 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_everything() {
-        let v = values(37);
-        let frame = encode_frame(9, 1234, &v);
-        assert_eq!(frame.len(), frame_bytes(37));
-        let decoded = decode_frame(frame).unwrap();
-        assert_eq!(decoded.seq, 9);
+        let v = values(137);
+        let frame = encode_grad_frame(1234, &v);
+        assert_eq!(frame.len(), frame_bytes(137));
+        assert_eq!(HEADER_BYTES, 28);
+        let decoded = decode_grad_frame(&frame).unwrap();
         assert_eq!(decoded.offset, 1234);
-        assert_eq!(decoded.values, v);
+        assert_eq!(decoded.len(), 137);
+        let mut widened = vec![0.0f32; 137];
+        decoded.widen_into(&mut widened);
+        let want: Vec<f32> = v.iter().map(|x| x.to_f32()).collect();
+        assert_eq!(widened, want);
     }
 
     #[test]
     fn empty_payload_roundtrips() {
-        let frame = encode_frame(0, 0, &[]);
-        let decoded = decode_frame(frame).unwrap();
-        assert!(decoded.values.is_empty());
+        let frame = encode_grad_frame(0, &[]);
+        let decoded = decode_grad_frame(&frame).unwrap();
+        assert!(decoded.is_empty());
     }
 
     #[test]
     fn truncated_header_rejected() {
-        let frame = encode_frame(1, 0, &values(4));
-        let short = frame.slice(0..HEADER_BYTES - 1);
+        let frame = encode_grad_frame(0, &values(4));
         assert!(matches!(
-            decode_frame(short),
-            Err(WireError::Truncated { .. })
+            decode_grad_frame(&frame[..HEADER_BYTES - 1]),
+            Err(FrameError::Truncated { .. })
         ));
     }
 
     #[test]
     fn truncated_payload_rejected() {
-        let frame = encode_frame(1, 0, &values(4));
-        let short = frame.slice(0..HEADER_BYTES + 3);
+        let frame = encode_grad_frame(0, &values(4));
         assert!(matches!(
-            decode_frame(short),
-            Err(WireError::Truncated { .. })
+            decode_grad_frame(&frame[..HEADER_BYTES + 3]),
+            Err(FrameError::Truncated { .. })
         ));
+        // A valid frame whose payload is torn: no room for the offset, or
+        // an odd number of value bytes.
+        for payload in [&b"short"[..], &[0u8; 9][..]] {
+            let frame = framing::encode_frame(GRAD_FRAME, payload);
+            assert!(matches!(
+                decode_grad_frame(&frame),
+                Err(FrameError::Truncated { .. })
+            ));
+        }
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let frame = encode_frame(1, 0, &values(2));
-        let mut raw = frame.to_vec();
-        raw[0] ^= 0xFF;
-        match decode_frame(Bytes::from(raw)) {
-            Err(WireError::BadMagic { found }) => assert_ne!(found, MAGIC),
+        let mut frame = encode_grad_frame(0, &values(2));
+        frame[0] ^= 0xFF;
+        match decode_grad_frame(&frame) {
+            Err(FrameError::BadMagic { found }) => assert_ne!(found, GRAD_FRAME.magic),
             other => panic!("expected BadMagic, got {other:?}"),
         }
     }
 
     #[test]
     fn corrupted_payload_fails_checksum() {
-        let frame = encode_frame(1, 0, &values(8));
-        let mut raw = frame.to_vec();
-        let last = raw.len() - 1;
-        raw[last] ^= 0x01;
+        let mut frame = encode_grad_frame(0, &values(8));
+        let last = frame.len() - 1;
+        frame[last] ^= 0x01;
         assert!(matches!(
-            decode_frame(Bytes::from(raw)),
-            Err(WireError::BadChecksum { .. })
+            decode_grad_frame(&frame),
+            Err(FrameError::Corrupted { .. })
         ));
+    }
+
+    #[test]
+    fn error_display() {
+        let torn = framing::encode_frame(GRAD_FRAME, b"short");
+        let e = decode_grad_frame(&torn).unwrap_err();
+        assert_eq!(e.to_string(), "truncated frame: have 5 bytes, need 8");
     }
 
     #[test]
     fn ship_frame_retries_transients_and_surfaces_fatals() {
         use zo_fault::{FaultKind, FaultPlan, FaultSession, Site, SiteSpec};
         let tracer = zo_trace::Tracer::new();
-        let frame = encode_frame(1, 8, &values(4));
+        let frame = encode_grad_frame(8, &values(4));
 
         let transient = std::sync::Arc::new(
             FaultPlan::builder(2)
@@ -338,18 +310,5 @@ mod tests {
                 site: Site::WireD2h
             })
         );
-    }
-
-    #[test]
-    fn error_display() {
-        let e = WireError::Truncated { have: 3, need: 24 };
-        assert!(e.to_string().contains("truncated"));
-        let e = WireError::BadMagic { found: 0xdead };
-        assert!(e.to_string().contains("magic"));
-        let e = WireError::BadChecksum {
-            expected: 1,
-            computed: 2,
-        };
-        assert!(e.to_string().contains("checksum"));
     }
 }

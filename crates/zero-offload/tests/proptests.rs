@@ -1,7 +1,8 @@
 //! Property-based tests for the PCIe wire format and gradient bucketer.
 //!
 //! The offload path's correctness rests on two mechanical invariants:
-//! frames survive the encode/decode round-trip bit-exactly, and the
+//! gradient frames survive the encode/decode round-trip bit-exactly (and
+//! any framed payload decodes to a value or a typed error), and the
 //! bucketer's scatter/gather is lossless for any parameter count and
 //! bucket budget (including a ragged final bucket).
 
@@ -12,7 +13,9 @@ use proptest::prelude::*;
 use zero_offload::bucket::{scatter_frames, GradBucketer};
 use zero_offload::checkpoint::{FILE_MAGIC, FILE_VERSION, PAYLOAD_HEADER_BYTES};
 use zero_offload::framing;
-use zero_offload::wire::{decode_frame, encode_frame, frame_bytes, WireError, HEADER_BYTES};
+use zero_offload::wire::{
+    decode_grad_frame, encode_grad_frame, frame_bytes, GRAD_FRAME, HEADER_BYTES,
+};
 use zero_offload::FrameError;
 use zero_offload::{
     decode_checkpoint_bytes, encode_checkpoint_bytes, CheckpointError, DpuCheckpoint,
@@ -64,57 +67,84 @@ fn f16_vec(max_len: usize) -> impl Strategy<Value = Vec<F16>> {
 }
 
 proptest! {
-    /// Any (seq, offset, payload) round-trips bit-exactly through the
-    /// wire format, and the frame is exactly `frame_bytes` long.
+    /// Any (offset, payload) round-trips bit-exactly through the wire
+    /// format, and the frame is exactly `frame_bytes` long.
     #[test]
     fn frame_roundtrip_is_bit_exact(
-        seq in 0u32..=u32::MAX,
         offset in 0u64..1_000_000_000_000,
-        values in f16_vec(64),
+        values in f16_vec(200),
     ) {
-        let frame = encode_frame(seq, offset, &values);
+        let frame = encode_grad_frame(offset, &values);
         prop_assert_eq!(frame.len(), frame_bytes(values.len()));
-        let decoded = decode_frame(frame).unwrap();
-        prop_assert_eq!(decoded.seq, seq);
+        let decoded = decode_grad_frame(&frame).unwrap();
         prop_assert_eq!(decoded.offset, offset);
-        prop_assert_eq!(decoded.values.len(), values.len());
-        for (a, b) in decoded.values.iter().zip(&values) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
+        prop_assert_eq!(decoded.len(), values.len());
+        let mut widened = vec![0.0f32; values.len()];
+        decoded.widen_into(&mut widened);
+        for (a, b) in widened.iter().zip(&values) {
+            prop_assert_eq!(a.to_bits(), b.to_f32().to_bits());
         }
     }
 
-    /// Corrupting any payload byte is caught by the checksum.
+    /// Corrupting any payload byte (offset or values) is caught by the
+    /// checksum.
     #[test]
     fn corrupted_payload_fails_checksum(
         values in f16_vec(32),
         victim in 0usize..1024,
         flip in 1u8..=255,
     ) {
-        prop_assume!(!values.is_empty());
-        let frame = encode_frame(0, 0, &values);
-        let mut raw = frame.to_vec();
-        let victim = HEADER_BYTES + victim % (raw.len() - HEADER_BYTES);
+        let mut raw = encode_grad_frame(0, &values);
+        let victim = framing::HEADER_BYTES + victim % (raw.len() - framing::HEADER_BYTES);
         raw[victim] ^= flip;
-        let err = decode_frame(bytes::Bytes::from(raw)).unwrap_err();
-        prop_assert!(matches!(err, WireError::BadChecksum { .. }), "{err:?}");
+        let err = decode_grad_frame(&raw).unwrap_err();
+        prop_assert!(matches!(err, FrameError::Corrupted { .. }), "{err:?}");
     }
 
     /// A truncated buffer never decodes.
     #[test]
     fn truncated_frame_is_rejected(values in f16_vec(32), keep in 0usize..1024) {
-        let frame = encode_frame(0, 0, &values);
-        prop_assume!(!frame.is_empty());
+        let frame = encode_grad_frame(0, &values);
         let keep = keep % frame.len();
-        let raw = frame.to_vec()[..keep].to_vec();
-        let err = decode_frame(bytes::Bytes::from(raw)).unwrap_err();
-        prop_assert!(matches!(err, WireError::Truncated { .. }), "{err:?}");
+        let err = decode_grad_frame(&frame[..keep]).unwrap_err();
+        prop_assert!(matches!(err, FrameError::Truncated { .. }), "{err:?}");
+    }
+
+    /// Arbitrary bytes inside a *valid* gradient frame (checksum
+    /// recomputed) decode to `Ok` or a typed error, never a panic. A
+    /// payload too short for the offset, or with an odd number of value
+    /// bytes, is torn (`Truncated`); anything else decodes, widens, and
+    /// re-encodes to the same bytes.
+    #[test]
+    fn grad_frame_decode_of_framed_arbitrary_payload_is_typed(payload in byte_vec(48)) {
+        let raw = framing::encode_frame(GRAD_FRAME, &payload);
+        match decode_grad_frame(&raw) {
+            Ok(frame) => {
+                prop_assert!(payload.len() >= 8 && payload.len().is_multiple_of(2));
+                let values: Vec<F16> = frame
+                    .values
+                    .chunks_exact(2)
+                    .map(|b| F16::from_bits(u16::from_le_bytes([b[0], b[1]])))
+                    .collect();
+                let mut widened = vec![0.0f32; frame.len()];
+                frame.widen_into(&mut widened);
+                for (w, v) in widened.iter().zip(&values) {
+                    prop_assert_eq!(w.to_bits(), v.to_f32().to_bits());
+                }
+                prop_assert_eq!(encode_grad_frame(frame.offset, &values), raw);
+            }
+            Err(err) => {
+                prop_assert!(payload.len() < 8 || !payload.len().is_multiple_of(2), "{err:?}");
+                prop_assert!(matches!(err, FrameError::Truncated { .. }), "{err:?}");
+            }
+        }
     }
 
     /// Bucketing a contiguous gradient buffer into arbitrary bucket
     /// budgets and pushing it in arbitrary chunk sizes loses nothing:
     /// scatter reassembles the exact fp16 values, frames respect the
-    /// bucket capacity (only the final one may be ragged), sequence
-    /// numbers are monotone and byte accounting matches.
+    /// bucket capacity (only the final one may be ragged), offsets tile
+    /// the buffer in order and byte accounting matches.
     #[test]
     fn bucketer_scatter_gather_roundtrip(
         n in 1usize..400,
@@ -130,23 +160,19 @@ proptest! {
             off += take;
         }
         b.flush();
-        let frames: Vec<_> = b
-            .take_frames()
-            .into_iter()
-            .map(|f| decode_frame(f).unwrap())
-            .collect();
+        let raw = b.take_frames();
+        let frames: Vec<_> = raw.iter().map(|f| decode_grad_frame(f).unwrap()).collect();
 
         // Capacity: every frame but the last is exactly full.
         prop_assert_eq!(frames.len(), n.div_ceil(cap_elems));
         for f in &frames[..frames.len() - 1] {
-            prop_assert_eq!(f.values.len(), cap_elems);
+            prop_assert_eq!(f.len(), cap_elems);
         }
         let last = &frames[frames.len() - 1];
-        prop_assert_eq!(last.values.len(), n - (frames.len() - 1) * cap_elems);
+        prop_assert_eq!(last.len(), n - (frames.len() - 1) * cap_elems);
 
-        // Monotone seq, contiguous offsets.
+        // Contiguous offsets in emission order.
         for (i, f) in frames.iter().enumerate() {
-            prop_assert_eq!(f.seq, i as u32);
             prop_assert_eq!(f.offset, (i * cap_elems) as u64);
         }
 
@@ -185,8 +211,8 @@ proptest! {
         bk.push(0, &a);
         bk.push(b_off, &c);
         bk.flush();
-        let frames: Vec<_> =
-            bk.take_frames().into_iter().map(|f| decode_frame(f).unwrap()).collect();
+        let raw = bk.take_frames();
+        let frames: Vec<_> = raw.iter().map(|f| decode_grad_frame(f).unwrap()).collect();
         let total = b_off as usize + b_len;
         let mut dst = vec![0.0f32; total];
         prop_assert_eq!(scatter_frames(&frames, &mut dst), a_len + b_len);

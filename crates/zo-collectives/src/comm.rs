@@ -7,12 +7,17 @@
 //! baselines — with deterministic, rank-order-independent results
 //! (accumulation order is fixed by rank, not by thread arrival).
 
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use zo_fault::{with_retry, FaultError, FaultSession, Site};
 
 use crate::partition::partition_range;
+
+/// Locks `m`, ignoring poisoning: a rank that panics while holding a lock
+/// must not turn every other rank's next lock into a second panic.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 struct Shared {
     barrier: Barrier,
@@ -123,7 +128,7 @@ impl Communicator {
     /// every inject/retry/fatal decision — a fatal fault errors out on all
     /// ranks together instead of deadlocking a barrier.
     pub fn install_faults(&self, session: FaultSession, tracer: zo_trace::Tracer, track: &str) {
-        *self.faults.lock() = Some(FaultState {
+        *lock(&self.faults) = Some(FaultState {
             session,
             tracer,
             track: track.to_string(),
@@ -134,7 +139,7 @@ impl Communicator {
     /// deterministic backoff without touching the barriers; a fatal or
     /// exhausted fault returns before any barrier is entered.
     fn gate(&self, site: Site) -> Result<(), FaultError> {
-        let mut guard = self.faults.lock();
+        let mut guard = lock(&self.faults);
         let Some(state) = guard.as_mut() else {
             return Ok(());
         };
@@ -152,12 +157,12 @@ impl Communicator {
     fn stage_and_reduce(&self, data: &[f32]) {
         // Entry barrier: the previous collective's readers are done.
         self.barrier();
-        self.shared.stage.lock()[self.rank] = Some(data.to_vec());
+        lock(&self.shared.stage)[self.rank] = Some(data.to_vec());
         self.barrier();
         if self.rank == 0 {
             // Deterministic rank-order reduction.
-            let mut stage = self.shared.stage.lock();
-            let mut buf = self.shared.buf.lock();
+            let mut stage = lock(&self.shared.stage);
+            let mut buf = lock(&self.shared.buf);
             buf.clear();
             buf.resize(data.len(), 0.0);
             for slot in stage.iter_mut() {
@@ -176,7 +181,7 @@ impl Communicator {
             return;
         }
         self.stage_and_reduce(data);
-        data.copy_from_slice(&self.shared.buf.lock());
+        data.copy_from_slice(&lock(&self.shared.buf));
     }
 
     /// All-reduce (mean): the data-parallel gradient average.
@@ -199,7 +204,7 @@ impl Communicator {
         }
         self.stage_and_reduce(data);
         let inv = 1.0 / self.world as f32;
-        self.shared.buf.lock()[range]
+        lock(&self.shared.buf)[range]
             .iter()
             .map(|v| v * inv)
             .collect()
@@ -236,7 +241,7 @@ impl Communicator {
         }
         self.barrier();
         {
-            let mut buf = self.shared.buf.lock();
+            let mut buf = lock(&self.shared.buf);
             if buf.len() != total {
                 buf.clear();
                 buf.resize(total, 0.0);
@@ -244,7 +249,7 @@ impl Communicator {
             buf[range].copy_from_slice(shard);
         }
         self.barrier();
-        let out = self.shared.buf.lock().clone();
+        let out = lock(&self.shared.buf).clone();
         self.barrier();
         out
     }
@@ -277,7 +282,7 @@ impl Communicator {
         }
         self.barrier();
         {
-            let mut buf = self.shared.buf.lock();
+            let mut buf = lock(&self.shared.buf);
             if buf.len() != range.len() {
                 buf.clear();
                 buf.resize(range.len(), 0.0);
@@ -290,7 +295,7 @@ impl Communicator {
             }
         }
         self.barrier();
-        let out = self.shared.buf.lock().clone();
+        let out = lock(&self.shared.buf).clone();
         self.barrier();
         out
     }
@@ -326,14 +331,14 @@ impl Communicator {
         let lo = range.start.max(own.start);
         let hi = range.end.min(own.end);
         let freed = range.len() - hi.saturating_sub(lo);
-        *self.shared.released.lock() += freed as u64;
+        *lock(&self.shared.released) += freed as u64;
         Ok(freed)
     }
 
     /// Total non-owned elements released group-wide via
     /// [`Communicator::try_release_slice`].
     pub fn released_elems(&self) -> u64 {
-        *self.shared.released.lock()
+        *lock(&self.shared.released)
     }
 
     /// All-gather with per-rank variable lengths: returns every rank's
@@ -347,10 +352,10 @@ impl Communicator {
             return vec![shard.to_vec()];
         }
         self.barrier();
-        self.shared.stage.lock()[self.rank] = Some(shard.to_vec());
+        lock(&self.shared.stage)[self.rank] = Some(shard.to_vec());
         self.barrier();
         let out: Vec<Vec<f32>> = {
-            let stage = self.shared.stage.lock();
+            let stage = lock(&self.shared.stage);
             stage
                 .iter()
                 .map(|slot| slot.as_ref().expect("every rank staged").clone())
@@ -359,7 +364,7 @@ impl Communicator {
         self.barrier();
         // Rank 0 clears the staging slots for the next collective.
         if self.rank == 0 {
-            for slot in self.shared.stage.lock().iter_mut() {
+            for slot in lock(&self.shared.stage).iter_mut() {
                 *slot = None;
             }
         }
@@ -374,12 +379,12 @@ impl Communicator {
         }
         self.barrier();
         if self.rank == root {
-            let mut buf = self.shared.buf.lock();
+            let mut buf = lock(&self.shared.buf);
             buf.clear();
             buf.extend_from_slice(data);
         }
         self.barrier();
-        let out = self.shared.buf.lock().clone();
+        let out = lock(&self.shared.buf).clone();
         self.barrier();
         out
     }

@@ -69,6 +69,20 @@ leg_train_checkpoint() {
     rm -rf "$t"
 }
 
+# The committed results/ must be what the code produces: regenerate every
+# output into a temp dir and diff. table4 is wall-clock timed, so it is
+# regenerated but not compared.
+leg_results_fresh() {
+    local t
+    t=$(mktemp -d)
+    bash scripts/regen_results.sh "$t" >/dev/null
+    if ! diff -r --exclude=table4.txt results "$t"; then
+        echo "FAIL: results/ is stale; rerun scripts/regen_results.sh" >&2
+        exit 1
+    fi
+    rm -rf "$t"
+}
+
 leg_test_debug() {
     echo "   ZO_THREADS=1"
     ZO_THREADS=1 cargo test -q
@@ -189,6 +203,7 @@ run_leg "cargo fmt / clippy / doc (warnings are errors)" leg_lint
 run_leg "cargo build --release (plus artifact binaries)" leg_build_release
 run_leg "benchmark build (perfbench/, build only)" leg_perfbench_build
 run_leg "train CLI checkpoint save / resume / torn-file smoke test" leg_train_checkpoint
+run_leg "committed results/ match a fresh regeneration (except table4)" leg_results_fresh
 run_leg "cargo test (ZO_THREADS=1 and 4)" leg_test_debug
 run_leg "cargo test --release" leg_test_release
 run_leg "fault harness (unit tests + fault matrix, both presets)" leg_fault_harness

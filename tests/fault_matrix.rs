@@ -464,6 +464,9 @@ fn poisoned_stream_falls_back_to_post_hoc_and_training_continues() {
         "every streamed window should have fallen back"
     );
     assert_eq!(degraded.stats().steps_applied, 15);
+    // The poisoned window and its retransmission count each d2h byte,
+    // wire byte and frame exactly once.
+    assert_eq!(degraded.stats(), clean.stats());
 }
 
 #[test]
